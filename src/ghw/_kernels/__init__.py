@@ -1,55 +1,19 @@
-"""Backend selection for the enumeration kernels.
+"""The census kernel: one walk and one permutation primitive (common.py).
 
-The env var GHW_BACKEND picks "numba" or "numpy"; the default is numba when
-it imports, numpy otherwise. Column codes ride in signed 64-bit lanes, so the
-kernels stop at dimension 6; higher dimensions fall back to the big-int path
-in common.python_census_leaves.
+It is pure Python at every dimension; column codes are Python ints, so no
+dimension needs a separate path. HAS_NUMBA and active_backend() describe
+the kernel to callers that record their environment (perfbench/child.py).
 """
 
-import os
+from .common import canonicalize_batch, census_leaves
 
-from . import _numpy as numpy_backend
-from . import common
-from ._numba import HAS_NUMBA
-from . import _numba as numba_backend
-
-MAX_KERNEL_DIM = 6
+HAS_NUMBA = False
 
 __all__ = [
-    "MAX_KERNEL_DIM",
-    "HAS_NUMBA",
-    "active_backend",
-    "census_leaves",
-    "canonicalize_batch",
+    "HAS_NUMBA", "active_backend", "census_leaves", "canonicalize_batch",
 ]
 
 
 def active_backend() -> str:
-    env = os.environ.get("GHW_BACKEND")
-    if env is None:
-        return "numba" if HAS_NUMBA else "numpy"
-    if env not in ("numba", "numpy"):
-        raise ValueError(f"GHW_BACKEND must be 'numba' or 'numpy', got {env!r}")
-    if env == "numba" and not HAS_NUMBA:
-        raise RuntimeError("GHW_BACKEND=numba but numba is not importable")
-    return env
-
-
-def census_leaves(n: int, k: int, backend: str | None = None):
-    """Canonical torsion-free column tuples for support {1..k}, lex sorted.
-
-    Returns an (classes, n) int64 array.
-    """
-    if not 2 <= n <= MAX_KERNEL_DIM:
-        raise ValueError(f"kernels handle dimensions 2..{MAX_KERNEL_DIM}, got {n}")
-    arrs = common.build_arrays(n, k)
-    if (backend or active_backend()) == "numba":
-        return numba_backend.census_leaves(arrs)
-    return numpy_backend.census_leaves(arrs)
-
-
-def canonicalize_batch(n: int, k: int, cols):
-    """Canonical forms of raw column-code rows, support already normalized."""
-    if not 2 <= n <= MAX_KERNEL_DIM:
-        raise ValueError(f"kernels handle dimensions 2..{MAX_KERNEL_DIM}, got {n}")
-    return numpy_backend.canonicalize_batch(cols, common.build_arrays(n, k))
+    """Name of the one census kernel."""
+    return "python"

@@ -1,9 +1,11 @@
-"""Shared precomputation for the census kernels.
+"""The census walk and the one permutation primitive it rests on.
 
 All tables are per (dimension, support size), with the support normalized to
 {1..k}. A column code packs the cocycle values of one coordinate over the
-2^(n-1) sign elements, one bit per element in ascending mask order, so the
-whole search state for one group is an n-tuple of codes.
+2^(n-1) sign elements, one bit per element in ascending mask order. Every
+column of a valid cocycle is a character of H, so it is one of T = 2^(n-1)
+codes; the kernel holds a column as its rank among them, and ranks compare
+the way codes do.
 """
 
 from __future__ import annotations
@@ -13,138 +15,154 @@ import time
 from functools import lru_cache
 from types import SimpleNamespace
 
-import numpy as np
+from ..core import permute_coordinates
 
 
 @lru_cache(maxsize=None)
 def build_tables(n: int, k: int) -> SimpleNamespace:
-    """Python-int tables driving enumeration and canonicalization.
+    """Tables driving enumeration and canonicalization.
 
     Fields:
       T          number of sign elements, 2^(n-1)
       H          sorted element masks
-      xbar       per coordinate, the code of the coordinate character on H
+      codes      the T character codes in ascending order, indexed by rank
+      rank       code -> rank
+      red        per coordinate, rank -> rank of the code reduced modulo
+                 that coordinate's coboundary
       colfix     per coordinate, bitset of elements fixing it
       needcheck  per coordinate, elements whose last fixed coordinate it is
-      cands      per coordinate, sorted coboundary-reduced candidate codes
+      cands      per coordinate, sorted reduced ranks
       perms      support-preserving coordinate permutations as
-                 (cols, cols_inv, dest) tuples; dest moves element bits
+                 (inv, image): new coordinate j takes old coordinate
+                 inv[j], and image[r] is the rank of character r relabeled
+      stab       per depth d, the perms mapping {0..d} onto itself
     """
-    assert 1 <= k <= n and k % 2 == 1, (n, k)
+    if n < 2 or not 1 <= k <= n or k % 2 == 0:
+        raise ValueError(f"no support class of size {k} in dimension {n}")
     smask = (1 << k) - 1
-    H = sorted(m for m in range(1 << n) if (m & smask).bit_count() % 2 == 0)
+    H = [m for m in range(1 << n) if (m & smask).bit_count() % 2 == 0]
     T = len(H)
     assert T == 1 << (n - 1)
-    index = {m: t for t, m in enumerate(H)}
-    xbar = [sum((H[t] >> i & 1) << t for t in range(T)) for i in range(n)]
+    # The character of mask m; m and m ^ smask agree on H.
+    char = [
+        sum(((m & h).bit_count() & 1) << t for t, h in enumerate(H))
+        for m in range(1 << n)
+    ]
+    codes = sorted(set(char))
+    assert len(codes) == T
+    rank = {c: r for r, c in enumerate(codes)}
+    mask_rank = [rank[c] for c in char]
+    rep = [0] * T
+    for m in range(1 << n):
+        rep[mask_rank[m]] = m
+    # Adding the coordinate character xbar_j = char[1 << j] moves mask m to
+    # m ^ 1 << j; the reduced code is the smaller of the two.
+    red = [
+        tuple(min(r, mask_rank[rep[r] ^ 1 << j]) for r in range(T))
+        for j in range(n)
+    ]
     colfix = [sum((~H[t] >> i & 1) << t for t in range(T)) for i in range(n)]
     # Every nonidentity element fixes something: the all-flip vector is not in H.
     needcheck = [0] * n
     for t in range(1, T):
         last = max(i for i in range(n) if not H[t] >> i & 1)
         needcheck[last] |= 1 << t
-    funcs = sorted(
-        {
-            sum(((m & h).bit_count() & 1) << t for t, h in enumerate(H))
-            for m in range(1 << n)
-        }
-    )
-    assert len(funcs) == T
-    cands = [sorted({min(f, f ^ xbar[i]) for f in funcs}) for i in range(n)]
     perms = []
     for pa in itertools.permutations(range(k)):
         for pb in itertools.permutations(range(k, n)):
-            cols = tuple(pa) + tuple(pb)
-            dest = tuple(
-                index[sum((H[t] >> j & 1) << cols[j] for j in range(n))]
-                for t in range(T)
-            )
+            dst = pa + pb
+            # img[m] is mask m with bit j moved to bit dst[j].
+            img = [0]
+            for j in range(n):
+                bit = 1 << dst[j]
+                img += [x | bit for x in img]
             inv = [0] * n
-            for j, c in enumerate(cols):
+            for j, c in enumerate(dst):
                 inv[c] = j
-            perms.append((cols, tuple(inv), dest))
+            perms.append((tuple(inv), tuple([mask_rank[img[m]] for m in rep])))
+    stab = [
+        tuple(p for p in perms if all(i <= d for i in p[0][:d + 1]))
+        for d in range(n)
+    ]
     return SimpleNamespace(
-        n=n, k=k, T=T, H=tuple(H), xbar=tuple(xbar), colfix=tuple(colfix),
-        needcheck=tuple(needcheck), cands=tuple(tuple(c) for c in cands),
-        perms=tuple(perms),
+        n=n, k=k, T=T, H=tuple(H), codes=tuple(codes), rank=rank,
+        red=tuple(red), colfix=tuple(colfix), needcheck=tuple(needcheck),
+        cands=tuple(tuple(sorted(set(r))) for r in red),
+        perms=tuple(perms), stab=tuple(stab),
     )
 
 
-@lru_cache(maxsize=None)
-def build_arrays(n: int, k: int) -> SimpleNamespace:
-    """Numpy mirror of build_tables plus byte-scatter LUTs, int64 lanes.
+def relabel(tab, perm, ranks) -> tuple[int, ...]:
+    """The permutation primitive: reduced ranks after relabeling by perm.
 
-    Only valid for n <= 6 (codes must stay clear of the sign bit)."""
-    assert n <= 6, n
-    tab = build_tables(n, k)
-    T = tab.T
-    nbytes = (T + 7) // 8
-    P = len(tab.perms)
-    perm_inv = np.array([inv for _, inv, _ in tab.perms], dtype=np.int64)
-    perm_dest = np.array([dest for _, _, dest in tab.perms], dtype=np.int64)
-    luts = np.zeros((P, nbytes, 256), dtype=np.int64)
-    for p, (_, _, dest) in enumerate(tab.perms):
-        for t in range(T):
-            byte, bit = divmod(t, 8)
-            hits = (np.arange(256) >> bit) & 1
-            luts[p, byte] |= hits.astype(np.int64) << dest[t]
-    cands_off = np.zeros(n + 1, dtype=np.int64)
-    for i, c in enumerate(tab.cands):
-        cands_off[i + 1] = cands_off[i] + len(c)
-    cands_flat = np.array(
-        [c for col in tab.cands for c in col], dtype=np.int64
-    )
-    return SimpleNamespace(
-        n=n, k=k, T=T, nbytes=nbytes,
-        xbar=np.array(tab.xbar, dtype=np.int64),
-        colfix=np.array(tab.colfix, dtype=np.int64),
-        needcheck=np.array(tab.needcheck, dtype=np.int64),
-        cands=[np.array(c, dtype=np.int64) for c in tab.cands],
-        cands_flat=cands_flat, cands_off=cands_off,
-        perm_inv=perm_inv, perm_dest=perm_dest, luts=luts,
-    )
+    ranks may be a prefix of length d+1 when perm maps {0..d} onto itself.
+    """
+    inv, image = perm
+    red = tab.red
+    return tuple([red[j][image[ranks[inv[j]]]] for j in range(len(ranks))])
 
 
-def python_census_leaves(n: int, k: int, deadline: float | None = None):
-    """Big-int reference enumeration, used beyond the kernel dimension limit.
+def reduced(tab, cols) -> tuple[int, ...]:
+    """Ranks of column codes, each reduced modulo its coboundary."""
+    return tuple(tab.red[j][tab.rank[c]] for j, c in enumerate(cols))
 
-    Returns canonical torsion-free column tuples in lexicographic order.
-    Checks the deadline (time.monotonic value) between subtrees and raises
-    TimeoutError when it passes.
+
+def canonical(tab, ranks) -> tuple[int, ...]:
+    """Lexicographically least relabeling of a reduced rank tuple."""
+    return min(relabel(tab, perm, ranks) for perm in tab.perms)
+
+
+def stabilizer_order(tab, ranks) -> int:
+    """Number of support-preserving permutations fixing a reduced tuple."""
+    return sum(relabel(tab, perm, ranks) == ranks for perm in tab.perms)
+
+
+def to_codes(tab, ranks) -> tuple[int, ...]:
+    return tuple(tab.codes[r] for r in ranks)
+
+
+def normalized_ranks(p):
+    """Tables for p's support size and p's reduced column ranks, after the
+    support of p is moved onto {1..k}."""
+    q = permute_coordinates(p, p.report.normalizing_permutation)
+    tab = build_tables(p.n, p.support_mask.bit_count())
+    assert q.elements == tab.H
+    return tab, reduced(tab, q.columns())
+
+
+def census_leaves(n: int, k: int, deadline: float | None = None):
+    """Canonical torsion-free column tuples for support {1..k}, lex sorted.
+
+    Orderly generation: when a permutation mapping {0..d} onto itself makes
+    the prefix of depth d lexicographically smaller, no completion of that
+    prefix is canonical, so its subtree is cut. At the last depth that test
+    is the full canonical test. The deadline (a time.monotonic value) is
+    checked at every node; TimeoutError is raised once it passes.
     """
     tab = build_tables(n, k)
-    full = (1 << tab.T) - 1
     out = []
-    cols = [0] * n
 
-    def canonical(leaf):
-        for _, inv, dest in tab.perms:
-            for j in range(n):
-                c = leaf[inv[j]]
-                pc = 0
-                for t in range(tab.T):
-                    if c >> t & 1:
-                        pc |= 1 << dest[t]
-                pc = min(pc, pc ^ tab.xbar[j])
-                if pc < leaf[j]:
-                    return False
-                if pc > leaf[j]:
-                    break
-        return True
-
-    def walk(depth, sat):
+    def walk(depth, sat, prefix):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"census {n=} {k=} exceeded its budget")
-        if depth == n:
-            if canonical(cols):
-                out.append(tuple(cols))
-            return
-        for c in tab.cands[depth]:
-            s2 = sat | (c & tab.colfix[depth])
-            if tab.needcheck[depth] & ~s2 & full:
+        for r in tab.cands[depth]:
+            s2 = sat | (tab.codes[r] & tab.colfix[depth])
+            # Elements whose last fixed coordinate this is need a witness now.
+            if tab.needcheck[depth] & ~s2:
                 continue
-            cols[depth] = c
-            walk(depth + 1, s2)
+            cur = prefix + (r,)
+            if any(relabel(tab, p, cur) < cur for p in tab.stab[depth]):
+                continue
+            if depth == n - 1:
+                out.append(to_codes(tab, cur))
+            else:
+                walk(depth + 1, s2, cur)
 
-    walk(0, 0)
+    walk(0, 0, ())
     return out
+
+
+def canonicalize_batch(n: int, k: int, rows) -> list[tuple[int, ...]]:
+    """Canonical forms of raw column-code rows, support already normalized."""
+    tab = build_tables(n, k)
+    return [to_codes(tab, canonical(tab, reduced(tab, row))) for row in rows]

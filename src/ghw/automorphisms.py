@@ -10,10 +10,10 @@ fixing the cocycle class up to coboundaries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
+from ._kernels.common import normalized_ranks, stabilizer_order
 from .cohomology import h1_order
 from .core import GhwPresentation, first_betti, _require_valid
 
@@ -29,57 +29,14 @@ class OutReport:
     bound: int
 
 
-def _reduced_columns(p: GhwPresentation):
-    n = p.n
-    elements = p.elements
-    xbar = [
-        sum((m >> i & 1) << t for t, m in enumerate(elements)) for i in range(n)
-    ]
-    cols = p.columns()
-    reduced = tuple(min(c, c ^ x) for c, x in zip(cols, xbar))
-    return elements, xbar, reduced
-
-
 def normalizer_stabilizer_order(p: GhwPresentation) -> int:
     """Permutations of the coordinates preserving support and cocycle class.
 
-    Works in the presentation's own labeling; the count is invariant under
-    relabeling, so no support normalization is needed.
+    Counted after the support is moved onto {1..k}, as for the canonical key;
+    the count is invariant under that relabeling.
     """
     _require_valid(p)
-    n = p.n
-    elements, xbar, reduced = _reduced_columns(p)
-    index = {m: t for t, m in enumerate(elements)}
-    inside = [i for i in range(n) if p.support_mask >> i & 1]
-    outside = [i for i in range(n) if not p.support_mask >> i & 1]
-    count = 0
-    for pa in itertools.permutations(inside):
-        for pb in itertools.permutations(outside):
-            perm = [0] * n
-            for src, dst in zip(inside, pa):
-                perm[src] = dst
-            for src, dst in zip(outside, pb):
-                perm[src] = dst
-            inv = [0] * n
-            for src, dst in enumerate(perm):
-                inv[dst] = src
-            dest = [
-                index[sum((m >> j & 1) << perm[j] for j in range(n))]
-                for m in elements
-            ]
-            ok = True
-            for j in range(n):
-                c = reduced[inv[j]]
-                pc = 0
-                for t in range(len(elements)):
-                    if c >> t & 1:
-                        pc |= 1 << dest[t]
-                pc = min(pc, pc ^ xbar[j])
-                if pc != reduced[j]:
-                    ok = False
-                    break
-            count += ok
-    return count
+    return stabilizer_order(*normalized_ranks(p))
 
 
 def out_order(p: GhwPresentation) -> OutReport:

@@ -160,24 +160,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = _config(args)
-    rows = []
-    for n in range(2, args.max_dim + 1):
-        if n >= enum_mod.LONG_MODE_DIM:
-            c = enum_mod.enumerate_census(
-                n, long_mode=cfg.long_mode, budget=cfg.budget,
-                workers=cfg.workers,
-            )
-        else:
-            c = enum_mod.cached_census(n)
-        rows.append({
-            "dim": n,
-            "total": len(c),
-            "beta1_zero": c.beta1_zero,
-            "beta1_one": c.beta1_one,
-            "orientable": c.orientable_count,
-            "supports": len(enum_mod.hyperplane_classes(n)),
-        })
-    _emit(rows)
+    _emit(enum_mod.census_table(
+        args.max_dim, long_mode=cfg.long_mode, budget=cfg.budget,
+        workers=cfg.workers,
+    ))
     return EXIT_OK
 
 

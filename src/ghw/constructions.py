@@ -24,6 +24,7 @@ from .core import (
     find_torsion_element,
     orientable,
     permute_coordinates,
+    _annihilator,
 )
 
 
@@ -261,7 +262,7 @@ def realize_representation(
         full_spec = extend_representation(full_spec)
     n = spec.n
     span = full_spec.span()
-    sigma = _annihilator_of_span(n, span)
+    sigma = _annihilator(n, span)
     m = sigma.bit_count()
     assert m % 2 == 1
     if m == 1:
@@ -280,13 +281,6 @@ def realize_representation(
     restricted = DiagonalPresentation(n, gens)
     assert find_torsion_element(restricted) is None
     return restricted
-
-
-def _annihilator_of_span(n: int, span: set[int]) -> int:
-    hits = [f for f in range(1, 1 << n)
-            if all((f & m).bit_count() % 2 == 0 for m in span)]
-    assert len(hits) == 1
-    return hits[0]
 
 
 def _support_alignment(n: int, src_mask: int, dst_mask: int) -> tuple[int, ...]:

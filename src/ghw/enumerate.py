@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
+from ._kernels import common
 from .automorphisms import out_order
 from .cohomology import h1_order
 from .core import (
@@ -28,7 +29,6 @@ from .core import (
     TranslationClass,
     _require_valid,
     dimension_cap,
-    permute_coordinates,
 )
 from .homology import betti_vector
 
@@ -72,43 +72,15 @@ def hyperplane_classes(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _key_bytes(n: int, k: int, cols) -> bytes:
     width = ((1 << (n - 1)) + 7) // 8
-    return bytes([n, k]) + b"".join(int(c).to_bytes(width, "big") for c in cols)
-
-
-def _canonical_cols(tab, cols) -> tuple[int, ...]:
-    reduced = tuple(min(c, c ^ x) for c, x in zip(cols, tab.xbar))
-    best = reduced
-    for _, inv, dest in tab.perms:
-        cand = [0] * tab.n
-        decided = 0
-        for j in range(tab.n):
-            c = reduced[inv[j]]
-            pc = 0
-            for t in range(tab.T):
-                if c >> t & 1:
-                    pc |= 1 << dest[t]
-            pc = min(pc, pc ^ tab.xbar[j])
-            cand[j] = pc
-            if decided == 0:
-                if pc < best[j]:
-                    decided = -1
-                elif pc > best[j]:
-                    decided = 1
-                    break
-        if decided == -1:
-            best = tuple(cand)
-    return best
+    return bytes([n, k]) + b"".join(c.to_bytes(width, "big") for c in cols)
 
 
 def canonical_key(p: GhwPresentation) -> bytes:
     """Complete isomorphism invariant; compare as raw bytes, render as hex."""
     _require_valid(p)
-    n = p.n
-    k = p.support_mask.bit_count()
-    q = permute_coordinates(p, p.report.normalizing_permutation)
-    tab = _kernels.common.build_tables(n, k)
-    assert q.elements == tab.H
-    return _key_bytes(n, k, _canonical_cols(tab, q.columns()))
+    tab, ranks = common.normalized_ranks(p)
+    canon = common.canonical(tab, ranks)
+    return _key_bytes(p.n, tab.k, common.to_codes(tab, canon))
 
 
 def are_isomorphic(p: GhwPresentation, q: GhwPresentation) -> bool:
@@ -169,7 +141,7 @@ class Census:
 
 
 def _entry_from_cols(n: int, k: int, cols) -> CensusEntry:
-    tab = _kernels.common.build_tables(n, k)
+    tab = common.build_tables(n, k)
     p = GhwPresentation.from_columns(n, tab.H, cols)
     assert p.valid, "kernel emitted an invalid leaf"
     return CensusEntry(
@@ -184,15 +156,11 @@ def _entry_from_cols(n: int, k: int, cols) -> CensusEntry:
     )
 
 
-def _support_entries(n: int, k: int, backend: str | None, deadline: float | None):
-    if n <= _kernels.MAX_KERNEL_DIM:
-        leaves = [tuple(int(c) for c in row) for row in
-                  _kernels.census_leaves(n, k, backend)]
-    else:
-        try:
-            leaves = _kernels.common.python_census_leaves(n, k, deadline)
-        except TimeoutError as exc:
-            raise BudgetExhausted(str(exc)) from None
+def _support_entries(n: int, k: int, deadline: float | None):
+    try:
+        leaves = _kernels.census_leaves(n, k, deadline)
+    except TimeoutError as exc:
+        raise BudgetExhausted(str(exc)) from None
     out = []
     for i, cols in enumerate(leaves):
         if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
@@ -208,7 +176,6 @@ def enumerate_census(
     budget: float | None = None,
     workers: int = 1,
     progress=None,
-    backend: str | None = None,
 ) -> Census:
     """All isomorphism classes of dimension n.
 
@@ -237,7 +204,7 @@ def enumerate_census(
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             futures = [
-                pool.submit(_support_entries, n, k, backend, deadline)
+                pool.submit(_support_entries, n, k, deadline)
                 for k in sizes
             ]
             for k, fut in zip(sizes, futures):
@@ -248,7 +215,7 @@ def enumerate_census(
         for k in sizes:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhausted(f"before support size {k} of dim {n}")
-            batch = _support_entries(n, k, backend, deadline)
+            batch = _support_entries(n, k, deadline)
             entries.extend(batch)
             if progress is not None:
                 progress(f"dim {n} support size {k}: {len(batch)} classes")
@@ -256,20 +223,30 @@ def enumerate_census(
 
 
 @lru_cache(maxsize=32)
-def _cached(n: int, backend: str) -> Census:
-    return enumerate_census(n, long_mode=n >= LONG_MODE_DIM, backend=backend)
-
-
 def cached_census(n: int) -> Census:
     """Memoized default-budget census; the workhorse for graphs and tests."""
-    return _cached(n, _kernels.active_backend())
+    return enumerate_census(n, long_mode=n >= LONG_MODE_DIM)
 
 
-def census_table(max_dim: int, **kwargs) -> list[dict]:
-    """Per-dimension summary rows for dims 2..max_dim."""
+def census_table(
+    max_dim: int,
+    *,
+    long_mode: bool = False,
+    budget: float | None = None,
+    workers: int = 1,
+) -> list[dict]:
+    """Per-dimension summary rows for dims 2..max_dim.
+
+    Dimensions below LONG_MODE_DIM come from cached_census; from there on
+    each is enumerated under the given long mode, budget and workers.
+    """
     rows = []
     for n in range(2, max_dim + 1):
-        c = enumerate_census(n, **kwargs) if kwargs else cached_census(n)
+        if n >= LONG_MODE_DIM:
+            c = enumerate_census(n, long_mode=long_mode, budget=budget,
+                                 workers=workers)
+        else:
+            c = cached_census(n)
         rows.append(
             {
                 "dim": n,

@@ -1,71 +1,84 @@
-import numpy as np
+import os
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+
 import pytest
 
-from ghw._kernels import (
-    HAS_NUMBA,
-    MAX_KERNEL_DIM,
-    active_backend,
-    canonicalize_batch,
-    census_leaves,
-)
-from ghw._kernels.common import python_census_leaves
+import ghw
+from ghw._kernels import canonicalize_batch, census_leaves
+from ghw._kernels.common import build_tables
+from ghw.automorphisms import normalizer_stabilizer_order
+from ghw.core import GhwPresentation
 
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
+CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
 
-CELLS = [(n, k) for n in range(2, MAX_KERNEL_DIM + 1)
-         for k in range(1, n + 1, 2)]
+# Torsion-free reduced column tuples in the dim-6 cells.
+TUPLES = {(6, 1): 261_248, (6, 3): 10_470, (6, 5): 6_000}
 
 
-@needs_numba
+def count_torsion_free_tuples(n, k):
+    """Leaves of the census walk with the torsion filter alone, counted."""
+    tab = build_tables(n, k)
+
+    def walk(depth, sat):
+        if depth == n:
+            return 1
+        total = 0
+        for r in tab.cands[depth]:
+            s2 = sat | (tab.codes[r] & tab.colfix[depth])
+            if not tab.needcheck[depth] & ~s2:
+                total += walk(depth + 1, s2)
+        return total
+
+    return walk(0, 0)
+
+
 @pytest.mark.parametrize("n,k", CELLS)
-def test_backends_agree(n, k):
-    a = census_leaves(n, k, backend="numba")
-    b = census_leaves(n, k, backend="numpy")
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("n,k", [(n, k) for n, k in CELLS if n <= 4])
-def test_numpy_matches_bigint_reference(n, k):
-    fast = census_leaves(n, k, backend="numpy")
-    slow = python_census_leaves(n, k)
-    assert [tuple(row) for row in fast.tolist()] == slow
+def test_orbit_stabilizer_checksum(n, k):
+    # The support-preserving permutations P act on the torsion-free reduced
+    # tuples of support {1..k}; a class is an orbit of size |P| / |Stab|.
+    order = factorial(k) * factorial(n - k)
+    tab = build_tables(n, k)
+    orbits = 0
+    for cols in census_leaves(n, k):
+        stab = normalizer_stabilizer_order(
+            GhwPresentation.from_columns(n, tab.H, cols))
+        assert order % stab == 0
+        orbits += order // stab
+    tuples = count_torsion_free_tuples(n, k)
+    assert orbits == tuples
+    assert TUPLES.get((n, k), tuples) == tuples
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n, k in CELLS if n <= 5])
 def test_canonicalize_fixes_leaves(n, k):
-    leaves = census_leaves(n, k, backend="numpy")
-    again = canonicalize_batch(n, k, leaves)
-    assert np.array_equal(np.unique(again, axis=0), leaves)
+    leaves = census_leaves(n, k)
+    assert canonicalize_batch(n, k, leaves) == leaves
 
 
 def test_leaves_sorted_unique():
-    a = census_leaves(4, 1, backend="numpy")
-    rows = [tuple(r) for r in a.tolist()]
+    rows = census_leaves(4, 1)
     assert rows == sorted(set(rows))
 
 
 def test_dimension_guard():
     with pytest.raises(ValueError):
-        census_leaves(MAX_KERNEL_DIM + 1, 1)
+        census_leaves(1, 1)
     with pytest.raises(ValueError):
-        canonicalize_batch(1, 1, np.zeros((0, 1), dtype=np.int64))
+        census_leaves(4, 2)
+    with pytest.raises(ValueError):
+        canonicalize_batch(1, 1, [])
 
 
-class TestBackendSelection:
-    def test_env_numpy(self, monkeypatch):
-        monkeypatch.setenv("GHW_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-
-    @needs_numba
-    def test_env_numba(self, monkeypatch):
-        monkeypatch.setenv("GHW_BACKEND", "numba")
-        assert active_backend() == "numba"
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("GHW_BACKEND", "fortran")
-        with pytest.raises(ValueError):
-            active_backend()
-
-    def test_default_is_available_backend(self, monkeypatch):
-        monkeypatch.delenv("GHW_BACKEND", raising=False)
-        assert active_backend() == ("numba" if HAS_NUMBA else "numpy")
+def test_import_loads_no_numpy():
+    code = ("import sys, ghw; "
+            "print(sorted({'numpy', 'numba'} & set(sys.modules)))")
+    env = dict(os.environ)
+    src = str(Path(ghw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
