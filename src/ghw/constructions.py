@@ -25,6 +25,7 @@ from .core import (
     orientable,
     permute_coordinates,
     _annihilator,
+    _basis_of,
 )
 
 
@@ -105,16 +106,6 @@ class AffineMap:
 
 def _affine_of(n: int, mask: int, halves: int) -> AffineMap:
     return AffineMap(n, mask, tuple(halves >> i & 1 for i in range(n)))
-
-
-def _basis_of(masks: Iterable[int]) -> list[int]:
-    basis: list[int] = []
-    span = {0}
-    for m in sorted(masks):
-        if m and m not in span:
-            basis.append(m)
-            span |= {m ^ x for x in span}
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +350,23 @@ def reduce(
                 f"a member fixing coordinate {coordinate} carries a half "
                 "step there; deleting it would not stay injective"
             )
+    return _drop_coordinate(p, _basis_of(members), coordinate)
 
-    low = bit - 1
+
+def _drop_coordinate(p, basis: list[int], coordinate: int) -> GhwPresentation:
+    """Delete a coordinate from a kernel basis; ReductionNotGhw if degenerate."""
+    low = (1 << (coordinate - 1)) - 1
 
     def drop(mask: int) -> int:
         return (mask & low) | ((mask >> 1) & ~low)
 
-    gens = []
-    for m in _basis_of(members):
-        gens.append(
-            (SignVector(n - 1, drop(m)),
-             TranslationClass(n - 1, drop(p.s_by_mask[m])))
-        )
+    gens = [
+        (SignVector(p.n - 1, drop(m)),
+         TranslationClass(p.n - 1, drop(p.s_by_mask[m])))
+        for m in basis
+    ]
     try:
-        q = GhwPresentation(n - 1, gens)
+        q = GhwPresentation(p.n - 1, gens)
     except DependentGenerators as exc:
         raise ReductionNotGhw(
             "deleted coordinate collapses the holonomy"
@@ -391,28 +385,45 @@ class ReductionChoice:
     key: bytes
 
 
+def _kernel_cut(p: GhwPresentation, f: int) -> tuple[list[int], int]:
+    """Kernel basis of f on H, and the mask of coordinates i + 1 where a
+    member fixing i + 1 carries a half step: reduce's InvalidChoice test.
+    """
+    members = [m for m in p.elements if not (m & f).bit_count() & 1]
+    blocked = 0
+    for m in members:
+        blocked |= p.s_by_mask[m] & ~m
+    return _basis_of(members), blocked
+
+
 def list_reductions(p: GhwPresentation) -> tuple[ReductionChoice, ...]:
     """Enumerate every admissible one-step reduction of p.
 
     Functionals are scanned modulo the support annihilator (it acts
     trivially on the holonomy), using the smaller representative of each
-    pair.  Choices that violate a precondition or degenerate are simply
-    omitted.
+    pair.  Each functional's kernel basis and blocked mask are computed
+    once; blocked coordinates are skipped unbuilt, and the others go
+    through reduce's drop-and-rebuild, omitting those that degenerate.
     """
     from .enumerate import canonical_key
 
     if not p.valid:
         raise InvalidPresentation(p.report.reason)
     n = p.n
+    if n < 3:
+        raise ValueError("cannot reduce below dimension 2")
     sigma = p.support_mask
     out = []
     for f in range(1, 1 << n):
         if f >= f ^ sigma:
             continue
+        basis, blocked = _kernel_cut(p, f)
         for coordinate in range(1, n + 1):
+            if blocked >> (coordinate - 1) & 1:
+                continue
             try:
-                q = reduce(p, f, coordinate)
-            except (InvalidChoice, ReductionNotGhw):
+                q = _drop_coordinate(p, basis, coordinate)
+            except ReductionNotGhw:
                 continue
             out.append(ReductionChoice(f, coordinate, canonical_key(q)))
     return tuple(sorted(out))

@@ -222,19 +222,37 @@ def expand_cocycle(gens) -> dict[int, int]:
     return table
 
 
+def _basis_of(masks) -> list[int]:
+    """Greedy basis of the span of masks, scanning them in sorted order."""
+    basis: list[int] = []
+    span = {0}
+    for m in sorted(masks):
+        if m and m not in span:
+            basis.append(m)
+            span |= {m ^ x for x in span}
+    return basis
+
+
 def _annihilator(n: int, masks) -> int:
     """The unique nonzero functional vanishing on an index-2 sign span.
 
-    Scans all 2^n candidates; callers already hold a table of size 2^(n-1),
-    so this costs no more than what they paid to get here.
+    `masks` may be a basis or the whole span. Elimination over F_2 brings
+    them to reduced echelon form, O(n) per mask, leaving one free bit; the
+    annihilator has it and the pivot of every row that contains it.
     """
-    found = 0
-    for sigma in range(1, 1 << n):
-        if all((sigma & m).bit_count() % 2 == 0 for m in masks):
-            assert found == 0, "sign span has index greater than 2"
-            found = sigma
-    assert found, "sign span is not proper"
-    return found
+    rows: dict[int, int] = {}
+    for m in masks:
+        for pivot, row in rows.items():
+            if m & pivot:
+                m ^= row
+        if m:
+            pivot = m & -m
+            rows = {q: r ^ m if r & pivot else r for q, r in rows.items()}
+            rows[pivot] = m
+    assert len(rows) < n, "sign span is not proper"
+    assert len(rows) == n - 1, "sign span has index greater than 2"
+    free = ((1 << n) - 1) ^ sum(rows)
+    return free | sum(pivot for pivot, row in rows.items() if row & free)
 
 
 class GhwPresentation:
@@ -293,12 +311,7 @@ class GhwPresentation:
         """Rebuild a presentation from sorted H masks and cocycle columns."""
         elements = tuple(elements)
         index = {m: t for t, m in enumerate(elements)}
-        basis = []
-        span = {0}
-        for m in elements:
-            if m and m not in span:
-                basis.append(m)
-                span |= {m ^ x for x in span}
+        basis = _basis_of(elements)
         assert len(basis) == n - 1
         gens = []
         for m in basis:

@@ -11,6 +11,8 @@ exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .core import GhwPresentation, _require_valid
 
 __all__ = [
@@ -20,10 +22,14 @@ __all__ = [
 ]
 
 
-def _character_sums(p: GhwPresentation) -> list[int]:
-    n = p.n
+@lru_cache(maxsize=1024)
+def _character_sums(n: int, support_mask: int) -> tuple[int, ...]:
+    """Character sums over the kernel of the support parity, which is the
+    holonomy of every valid group with that support."""
     total = [0] * (n + 1)
-    for m in p.elements:
+    for m in range(1 << n):
+        if (m & support_mask).bit_count() & 1:
+            continue
         poly = [1]
         for i in range(n):
             d = -1 if m >> i & 1 else 1
@@ -34,7 +40,7 @@ def _character_sums(p: GhwPresentation) -> list[int]:
             poly = nxt
         for t, c in enumerate(poly):
             total[t] += c
-    return total
+    return tuple(total)
 
 
 def exterior_invariant_dim(p: GhwPresentation, j: int) -> int:
@@ -42,7 +48,7 @@ def exterior_invariant_dim(p: GhwPresentation, j: int) -> int:
     _require_valid(p)
     if not 0 <= j <= p.n:
         raise ValueError(f"exterior degree {j} out of range 0..{p.n}")
-    total = _character_sums(p)[j]
+    total = _character_sums(p.n, p.support_mask)[j]
     order = len(p.elements)
     assert total % order == 0, "character sum not divisible by group order"
     return total // order
@@ -53,7 +59,7 @@ def betti_vector(p: GhwPresentation) -> tuple[int, ...]:
     _require_valid(p)
     order = len(p.elements)
     out = []
-    for total in _character_sums(p):
+    for total in _character_sums(p.n, p.support_mask):
         assert total % order == 0, "character sum not divisible by group order"
         out.append(total // order)
     return tuple(out)

@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch: plain-int affine
 arithmetic (translations doubled so halves stay exact), a bounded order
 search over a lattice window, a from-first-principles enumerator with
 orbit counting by breadth-first closure, a brute stabilizer search, and
-a fraction-free determinant.  None of it imports the package.
+a fraction-free determinant.  None of it imports the package, except
+``brute_reduction_outcomes``, which replays the public ``reduce`` on every
+(functional, coordinate) pair as the slow reference for ``list_reductions``.
 """
 
 from __future__ import annotations
@@ -272,3 +274,47 @@ def check_snf(matrix, diagonal, left, right) -> None:
         assert diagonal[i] >= 0
         if diagonal[i + 1]:
             assert diagonal[i] != 0 and diagonal[i + 1] % diagonal[i] == 0
+
+
+# ---------------------------------------------------------------------------
+# support annihilators and reductions
+
+
+def brute_annihilators(n: int, masks) -> list[int]:
+    """Every nonzero functional vanishing on masks, by a scan of all 2^n."""
+    masks = list(masks)
+    return [sigma for sigma in range(1, 1 << n)
+            if all(bin(sigma & m).count("1") % 2 == 0 for m in masks)]
+
+
+def brute_reduction_outcomes(p) -> dict:
+    """reduce(p, f, c) for every functional f < f ^ sigma and coordinate c.
+
+    Maps (f, c) to the canonical key of the reduced group, or to the
+    exception class (InvalidChoice or ReductionNotGhw) that reduce raised.
+    """
+    from ghw.constructions import InvalidChoice, ReductionNotGhw, reduce
+    from ghw.enumerate import canonical_key
+
+    out = {}
+    sigma = p.support_mask
+    for f in range(1, 1 << p.n):
+        if f >= f ^ sigma:
+            continue
+        for c in range(1, p.n + 1):
+            try:
+                out[f, c] = canonical_key(reduce(p, f, c))
+            except (InvalidChoice, ReductionNotGhw) as exc:
+                out[f, c] = type(exc)
+    return out
+
+
+def brute_list_reductions(p) -> tuple:
+    """The sorted ReductionChoice tuple list_reductions must return."""
+    from ghw.constructions import ReductionChoice
+
+    return tuple(sorted(
+        ReductionChoice(f, c, key)
+        for (f, c), key in brute_reduction_outcomes(p).items()
+        if isinstance(key, bytes)
+    ))

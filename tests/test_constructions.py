@@ -26,7 +26,10 @@ from ghw.constructions import (
     realize_representation,
     reduce,
     semidirect_minus_id,
+    _kernel_cut,
 )
+
+from oracles import brute_list_reductions, brute_reduction_outcomes
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 KLEIN_KEY = bytes.fromhex("02010200")
@@ -123,6 +126,33 @@ class TestListReductions:
     def test_every_dim4_entry_reduces(self):
         for e in cached_census(4).entries:
             assert list_reductions(e.presentation)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_reduce_oracle(self, n):
+        # every entry up to dim 5, every 25th of dim 6
+        for e in cached_census(n).entries[::25 if n == 6 else 1]:
+            p = e.presentation
+            assert list_reductions(p) == brute_list_reductions(p)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_blocked_is_invalid_choice(self, n):
+        # list_reductions skips exactly the coordinates where reduce
+        # raises InvalidChoice
+        for e in cached_census(n).entries[::25 if n == 6 else 1]:
+            p = e.presentation
+            skipped = set()
+            for f in range(1, 1 << n):
+                if f < f ^ p.support_mask:
+                    _, blocked = _kernel_cut(p, f)
+                    skipped |= {(f, c) for c in range(1, n + 1)
+                                if blocked >> (c - 1) & 1}
+            outcomes = brute_reduction_outcomes(p)
+            assert skipped == {fc for fc, out in outcomes.items()
+                               if out is InvalidChoice}
+
+    def test_dim2_refuses(self):
+        with pytest.raises(ValueError):
+            list_reductions(klein_group(2))
 
     def test_iterated_reduction_reaches_klein(self):
         for e in cached_census(4).entries:

@@ -23,9 +23,15 @@ from ghw.core import (
     parse_group,
     permute_coordinates,
     validate_ghw,
+    _annihilator,
 )
+from ghw.enumerate import cached_census
 
-from oracles import lift_has_finite_order, table_is_torsion_free
+from oracles import (
+    brute_annihilators,
+    lift_has_finite_order,
+    table_is_torsion_free,
+)
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 KLEIN = "dim=2; gens=-+:0H"
@@ -217,6 +223,55 @@ class TestTransforms:
             if q.s_by_mask != p.s_by_mask:
                 seen_different = True
         assert seen_different
+
+
+def _random_span(rng, n: int, functionals):
+    """A random basis and the full span of the masks killed by functionals."""
+    basis, span = [], {0}
+    while len(basis) < n - len(functionals):
+        m = rng.randrange(1, 1 << n)
+        if m not in span and not any(
+                bin(m & f).count("1") % 2 for f in functionals):
+            basis.append(m)
+            span |= {m ^ x for x in span}
+    span = sorted(span)
+    rng.shuffle(span)
+    return basis, span
+
+
+class TestAnnihilator:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_scan_on_random_spans(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(5):
+            sigma = rng.randrange(1, 1 << n)
+            basis, span = _random_span(rng, n, [sigma])
+            assert brute_annihilators(n, basis) == [sigma]
+            assert _annihilator(n, basis) == sigma
+            assert _annihilator(n, span) == sigma
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_index_four_raises(self, n):
+        rng = random.Random(2000 + n)
+        f = rng.randrange(1, 1 << n)
+        g = rng.choice([x for x in range(1, 1 << n) if x != f])
+        basis, span = _random_span(rng, n, [f, g])
+        assert len(brute_annihilators(n, basis)) == 3
+        for masks in (basis, span):
+            with pytest.raises(AssertionError):
+                _annihilator(n, masks)
+
+    def test_full_space_raises(self):
+        with pytest.raises(AssertionError):
+            _annihilator(3, [0b001, 0b010, 0b100])
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_census_supports_match_scan(self, n):
+        for e in cached_census(n).entries:
+            p = e.presentation
+            flips = [sv.flips for sv, _ in p.gens]
+            assert brute_annihilators(n, flips) == [p.support_mask]
+            assert brute_annihilators(n, p.elements) == [p.support_mask]
 
 
 class TestFamiliesValid:
