@@ -1,11 +1,12 @@
-"""The census walk and the one permutation primitive it rests on.
+"""The census kernel: one walk and the one permutation primitive it rests on.
 
 All tables are per (dimension, support size), with the support normalized to
 {1..k}. A column code packs the cocycle values of one coordinate over the
 2^(n-1) sign elements, one bit per element in ascending mask order. Every
 column of a valid cocycle is a character of H, so it is one of T = 2^(n-1)
 codes; the kernel holds a column as its rank among them, and ranks compare
-the way codes do.
+the way codes do. Column codes are Python ints, so every dimension runs the
+same pure-Python code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import time
 from functools import lru_cache
 from types import SimpleNamespace
 
-from ..core import permute_coordinates
+# Recorded with each benchmark run (perfbench/child.py); there is no numba path.
+HAS_NUMBA = False
+
+
+def active_backend() -> str:
+    """Name of the one census kernel, recorded with each benchmark run."""
+    return "python"
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +130,24 @@ def to_codes(tab, ranks) -> tuple[int, ...]:
 
 def normalized_ranks(p):
     """Tables for p's support size and p's reduced column ranks, after the
-    support of p is moved onto {1..k}."""
-    q = permute_coordinates(p, p.report.normalizing_permutation)
-    tab = build_tables(p.n, p.support_mask.bit_count())
-    assert q.elements == tab.H
-    return tab, reduced(tab, q.columns())
+    support of p is moved onto {1..k}.
+
+    The columns are read straight from p's cocycle table: new coordinate j
+    is old coordinate src[j] under p.report.normalizing_permutation, and
+    bit t of new column j is that coordinate of s at the old mask of H[t].
+    """
+    n = p.n
+    tab = build_tables(n, p.support_mask.bit_count())
+    src = [0] * n
+    for i, pos in enumerate(p.report.normalizing_permutation):
+        src[pos - 1] = i
+    s = p.s_by_mask
+    cols = [0] * n
+    for t, h in enumerate(tab.H):
+        val = s[sum((h >> j & 1) << i for j, i in enumerate(src))]
+        for j, i in enumerate(src):
+            cols[j] |= (val >> i & 1) << t
+    return tab, reduced(tab, cols)
 
 
 def census_leaves(n: int, k: int, deadline: float | None = None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from ._kernels.common import normalized_ranks, stabilizer_order
+from . import _kernels
 from .cohomology import h1_order
 from .core import GhwPresentation, first_betti, _require_valid
 
@@ -36,7 +36,7 @@ def normalizer_stabilizer_order(p: GhwPresentation) -> int:
     the count is invariant under that relabeling.
     """
     _require_valid(p)
-    return stabilizer_order(*normalized_ranks(p))
+    return _kernels.stabilizer_order(*_kernels.normalized_ranks(p))
 
 
 def out_order(p: GhwPresentation) -> OutReport:

@@ -12,34 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import automorphisms, constructions, core, enumerate as enum_mod, graph as graph_mod
-from .core import GhwError, ParseError, dimension_cap, format_group, parse_group
+from .core import GhwError, ParseError, format_group, parse_group
 from .enumerate import BudgetExhausted
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
-
-
-@dataclass
-class Config:
-    """Run-wide knobs shared by the enumeration-backed commands."""
-
-    cap: int
-    budget: Optional[float]
-    workers: int
-    long_mode: bool
-
-    def __post_init__(self):
-        if self.cap < 2:
-            raise ValueError("dimension cap must be at least 2")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,15 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args) -> Config:
-    return Config(
-        cap=dimension_cap(),
-        budget=getattr(args, "budget", None),
-        workers=getattr(args, "workers", 1),
-        long_mode=getattr(args, "long", False),
-    )
-
-
 def _read_group(args) -> core.GhwPresentation:
     text = args.group
     if text is None:
@@ -143,12 +114,13 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _census_opts(args) -> dict:
+    return {"long_mode": args.long, "budget": args.budget,
+            "workers": args.workers}
+
+
 def cmd_enumerate(args) -> int:
-    cfg = _config(args)
-    census = enum_mod.enumerate_census(
-        args.dim, long_mode=cfg.long_mode, budget=cfg.budget,
-        workers=cfg.workers,
-    )
+    census = enum_mod.enumerate_census(args.dim, **_census_opts(args))
     text = enum_mod.census_to_jsonl(census)
     if args.out:
         with open(args.out, "w") as fh:
@@ -159,11 +131,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cfg = _config(args)
-    _emit(enum_mod.census_table(
-        args.max_dim, long_mode=cfg.long_mode, budget=cfg.budget,
-        workers=cfg.workers,
-    ))
+    _emit(enum_mod.census_table(args.max_dim, **_census_opts(args)))
     return EXIT_OK
 
 
@@ -176,9 +144,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    cfg = _config(args)
-    g = graph_mod.build_graph(args.max_dim, long_mode=cfg.long_mode,
-                              budget=cfg.budget)
+    g = graph_mod.build_graph(args.max_dim, **_census_opts(args))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph_mod.dot_export(g))

@@ -26,6 +26,7 @@ from .core import (
     permute_coordinates,
     _annihilator,
     _basis_of,
+    _support_alignment,
 )
 
 
@@ -171,16 +172,15 @@ class RepresentationSpec:
         masks = tuple(getattr(m, "flips", m) for m in self.flip_masks)
         object.__setattr__(self, "flip_masks", masks)
         full = (1 << n) - 1
-        span = {0}
-        for m in self.flip_masks:
+        for m in masks:
             if not 0 < m <= full:
                 raise InvalidSpec(f"mask {m} out of range for dimension {n}")
-            if m in span:
-                raise InvalidSpec("sign vectors are not independent")
-            span |= {m ^ x for x in span}
+        span = self.span()
+        if len(span) != 1 << len(masks):
+            raise InvalidSpec("sign vectors are not independent")
         if full in span:
             raise InvalidSpec("the total flip lies in the span")
-        if len(self.flip_masks) > n - 1:
+        if len(masks) > n - 1:
             raise InvalidSpec("rank exceeds n - 1")
 
     @property
@@ -272,21 +272,6 @@ def realize_representation(
     restricted = DiagonalPresentation(n, gens)
     assert find_torsion_element(restricted) is None
     return restricted
-
-
-def _support_alignment(n: int, src_mask: int, dst_mask: int) -> tuple[int, ...]:
-    """Order-preserving relabeling taking one support onto another."""
-    src_in = [i for i in range(1, n + 1) if src_mask >> (i - 1) & 1]
-    src_out = [i for i in range(1, n + 1) if not src_mask >> (i - 1) & 1]
-    dst_in = [i for i in range(1, n + 1) if dst_mask >> (i - 1) & 1]
-    dst_out = [i for i in range(1, n + 1) if not dst_mask >> (i - 1) & 1]
-    assert len(src_in) == len(dst_in)
-    perm = [0] * n
-    for a, b in zip(src_in, dst_in):
-        perm[a - 1] = b
-    for a, b in zip(src_out, dst_out):
-        perm[a - 1] = b
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -393,12 +393,22 @@ def is_torsion_free(p) -> bool:
     return find_torsion_element(p) is None
 
 
-def _normalizing_perm(n: int, support_mask: int) -> tuple[int, ...]:
-    inside = [i for i in range(n) if support_mask >> i & 1]
-    outside = [i for i in range(n) if not support_mask >> i & 1]
+def _support_alignment(n: int, src_mask: int, dst_mask: int) -> tuple[int, ...]:
+    """Order-preserving relabeling taking one support onto another.
+
+    Old coordinate i (1-based) goes to position perm[i-1]; coordinates keep
+    their relative order inside and outside the support. With the low k
+    bits as dst_mask this is the normalizing permutation.
+    """
+    assert src_mask.bit_count() == dst_mask.bit_count()
+
+    def order(mask: int) -> list[int]:
+        return ([i for i in range(n) if mask >> i & 1]
+                + [i for i in range(n) if not mask >> i & 1])
+
     perm = [0] * n
-    for pos, i in enumerate(inside + outside):
-        perm[i] = pos + 1
+    for i, j in zip(order(src_mask), order(dst_mask)):
+        perm[i] = j + 1
     return tuple(perm)
 
 
@@ -435,7 +445,8 @@ def validate_ghw(p: GhwPresentation) -> ValidationReport:
         torsion_offender=offender,
         lattice_maximal=lattice_maximal,
         support=p.support,
-        normalizing_permutation=_normalizing_perm(n, sigma),
+        normalizing_permutation=_support_alignment(
+            n, sigma, (1 << sigma.bit_count()) - 1),
         verdict=verdict,
         reason=reason,
     )

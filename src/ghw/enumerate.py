@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from ._kernels import common
 from .automorphisms import out_order
 from .cohomology import h1_order
 from .core import (
@@ -42,6 +41,7 @@ __all__ = [
     "are_isomorphic",
     "enumerate_census",
     "cached_census",
+    "censuses",
     "census_table",
     "census_to_jsonl",
     "census_from_jsonl",
@@ -78,9 +78,9 @@ def _key_bytes(n: int, k: int, cols) -> bytes:
 def canonical_key(p: GhwPresentation) -> bytes:
     """Complete isomorphism invariant; compare as raw bytes, render as hex."""
     _require_valid(p)
-    tab, ranks = common.normalized_ranks(p)
-    canon = common.canonical(tab, ranks)
-    return _key_bytes(p.n, tab.k, common.to_codes(tab, canon))
+    tab, ranks = _kernels.normalized_ranks(p)
+    canon = _kernels.canonical(tab, ranks)
+    return _key_bytes(p.n, tab.k, _kernels.to_codes(tab, canon))
 
 
 def are_isomorphic(p: GhwPresentation, q: GhwPresentation) -> bool:
@@ -141,7 +141,7 @@ class Census:
 
 
 def _entry_from_cols(n: int, k: int, cols) -> CensusEntry:
-    tab = common.build_tables(n, k)
+    tab = _kernels.build_tables(n, k)
     p = GhwPresentation.from_columns(n, tab.H, cols)
     assert p.valid, "kernel emitted an invalid leaf"
     return CensusEntry(
@@ -194,8 +194,7 @@ def enumerate_census(
         raise DimensionTooLarge(
             f"dimension {n} is enumerable only in long mode"
         )
-    if budget is not None and budget <= 0:
-        raise ValueError("budget must be positive")
+    _check_run_limits(budget, workers)
     if budget is None and long_mode:
         budget = DEFAULT_BUDGET
     deadline = time.monotonic() + budget if budget is not None else None
@@ -228,6 +227,37 @@ def cached_census(n: int) -> Census:
     return enumerate_census(n, long_mode=n >= LONG_MODE_DIM)
 
 
+def _check_run_limits(budget: float | None, workers: int) -> None:
+    if budget is not None and budget <= 0:
+        raise ValueError("budget must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
+def censuses(
+    max_dim: int,
+    *,
+    long_mode: bool = False,
+    budget: float | None = None,
+    workers: int = 1,
+) -> dict[int, Census]:
+    """The census of every dimension 2..max_dim, keyed by dimension.
+
+    Dimensions below LONG_MODE_DIM come from cached_census; from there on
+    each is enumerated under the given long mode, budget and workers. The
+    budget and worker count are checked before any dimension is built.
+    """
+    _check_run_limits(budget, workers)
+    out = {}
+    for n in range(2, max_dim + 1):
+        if n >= LONG_MODE_DIM:
+            out[n] = enumerate_census(n, long_mode=long_mode, budget=budget,
+                                      workers=workers)
+        else:
+            out[n] = cached_census(n)
+    return out
+
+
 def census_table(
     max_dim: int,
     *,
@@ -235,29 +265,20 @@ def census_table(
     budget: float | None = None,
     workers: int = 1,
 ) -> list[dict]:
-    """Per-dimension summary rows for dims 2..max_dim.
-
-    Dimensions below LONG_MODE_DIM come from cached_census; from there on
-    each is enumerated under the given long mode, budget and workers.
-    """
-    rows = []
-    for n in range(2, max_dim + 1):
-        if n >= LONG_MODE_DIM:
-            c = enumerate_census(n, long_mode=long_mode, budget=budget,
-                                 workers=workers)
-        else:
-            c = cached_census(n)
-        rows.append(
-            {
-                "dim": n,
-                "total": len(c),
-                "beta1_zero": c.beta1_zero,
-                "beta1_one": c.beta1_one,
-                "orientable": c.orientable_count,
-                "supports": len(hyperplane_classes(n)),
-            }
-        )
-    return rows
+    """Per-dimension summary rows for dims 2..max_dim, from censuses."""
+    found = censuses(max_dim, long_mode=long_mode, budget=budget,
+                     workers=workers)
+    return [
+        {
+            "dim": n,
+            "total": len(c),
+            "beta1_zero": c.beta1_zero,
+            "beta1_one": c.beta1_one,
+            "orientable": c.orientable_count,
+            "supports": len(hyperplane_classes(n)),
+        }
+        for n, c in found.items()
+    ]
 
 
 def _entry_json(e: CensusEntry) -> str:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .constructions import ReductionChoice, list_reductions
 from .core import GhwError
-from .enumerate import LONG_MODE_DIM, Census, cached_census, enumerate_census
+from .enumerate import Census, censuses
 
 
 class UnknownVertex(GhwError):
@@ -161,27 +161,23 @@ class GhwGraph:
 
 
 def build_graph(max_dim: int, *, long_mode: bool = False,
-                budget: Optional[float] = None) -> GhwGraph:
+                budget: Optional[float] = None, workers: int = 1) -> GhwGraph:
     """Assemble the graph for dimensions 2 through max_dim.
 
-    For every entry of dimension d >= 3 each distinct reduction class
-    contributes one edge, witnessed by the first choice (in scan order)
-    that lands in the class.
+    The censuses come from enumerate.censuses under the given long mode,
+    budget and workers. For every entry of dimension d >= 3 each distinct
+    reduction class contributes one edge, witnessed by the first choice (in
+    scan order) that lands in the class.
     """
     if max_dim < 2:
         raise ValueError("max_dim must be at least 2")
-    censuses: dict[int, Census] = {}
-    for d in range(2, max_dim + 1):
-        if d >= LONG_MODE_DIM:
-            censuses[d] = enumerate_census(d, long_mode=long_mode,
-                                           budget=budget)
-        else:
-            censuses[d] = cached_census(d)
+    by_dim = censuses(max_dim, long_mode=long_mode, budget=budget,
+                      workers=workers)
 
     vertices = []
     for d in range(2, max_dim + 1):
         seen_open = 0
-        for idx, entry in enumerate(censuses[d].entries):
+        for idx, entry in enumerate(by_dim[d].entries):
             name = _vertex_name(d, idx, entry.beta1, entry.orientable,
                                 seen_open)
             if d == 3 and not entry.orientable:
@@ -190,8 +186,8 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
 
     edges = []
     for d in range(3, max_dim + 1):
-        lower_keys = {e.key for e in censuses[d - 1].entries}
-        for entry in censuses[d].entries:
+        lower_keys = {e.key for e in by_dim[d - 1].entries}
+        for entry in by_dim[d].entries:
             first_by_target: dict[bytes, ReductionChoice] = {}
             for choice in list_reductions(entry.presentation):
                 if choice.key not in first_by_target:
@@ -207,7 +203,7 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
                     normal=_witness_is_normal(entry, choice),
                 ))
 
-    return GhwGraph(max_dim, censuses, tuple(vertices), tuple(edges))
+    return GhwGraph(max_dim, by_dim, tuple(vertices), tuple(edges))
 
 
 def _witness_is_normal(entry, choice: ReductionChoice) -> bool:

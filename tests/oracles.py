@@ -33,6 +33,7 @@ def affine_is_identity(a) -> bool:
     return mask == 0 and not any(t)
 
 
+@lru_cache(maxsize=None)
 def lift_has_finite_order(n: int, mask: int, halves: int) -> bool:
     """Bounded order search: does some lattice translate of (mask, halves/2)
     have finite order?

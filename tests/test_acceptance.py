@@ -11,7 +11,6 @@ import time
 import pytest
 
 from ghw import _kernels
-from ghw._kernels.common import build_tables
 from ghw.automorphisms import out_order
 from ghw.cohomology import h1_closed_form, h1_order, smith_normal_form
 from ghw.constructions import (
@@ -159,7 +158,7 @@ def test_criterion_8_property_suites():
     for e in cached_census(5).entries:
         p = e.presentation
         n, k = 5, len(e.support)
-        tab = build_tables(n, k)
+        tab = _kernels.build_tables(n, k)
         rows = []
         for _ in range(900):
             head = list(range(1, k + 1))

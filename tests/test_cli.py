@@ -92,6 +92,26 @@ class TestGraphCmd:
         assert code == 0
         assert json.loads(out)["vertices"] == 4
 
+    def test_workers_reach_enumeration(self, capsys, monkeypatch):
+        import ghw.enumerate as enum_mod
+
+        real = enum_mod.enumerate_census
+        workers = {}
+
+        def spy(n, **kwargs):
+            workers[n] = kwargs.get("workers", 1)
+            return real(n, **kwargs)
+
+        # Dimension 4 takes the long-mode route, as dimension 6 does.
+        monkeypatch.setattr(enum_mod, "LONG_MODE_DIM", 4)
+        monkeypatch.setattr(enum_mod, "enumerate_census", spy)
+        code, out, _ = run(capsys, "graph", "--max-dim", "4", "--long",
+                           "--workers", "2")
+        assert code == 0
+        assert workers[4] == 2
+        assert json.loads(out) == {"vertices": 16, "edges": 29,
+                                   "connected": True}
+
 
 class TestReduce:
     def test_didicosm_to_klein(self, capsys):
@@ -195,6 +215,19 @@ class TestConstructions:
                            "--other", "dim=3; gens=+-+:HH0,++-:0H0")
         assert code == 0
         assert json.loads(out)["isomorphic"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--dim", "3"),
+    ("table", "--max-dim", "3"),
+    ("graph", "--max-dim", "3"),
+])
+@pytest.mark.parametrize("limit", [("--workers", "0"), ("--budget", "0")])
+def test_run_limits_rejected(capsys, argv, limit):
+    code, out, err = run(capsys, *argv, *limit)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ghw: error:")
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ghw.core import (
@@ -280,6 +282,31 @@ class TestRepresentationSpec:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidSpec):
             RepresentationSpec(2, (0b100,))
+
+    def test_accepts_exactly_the_admissible_triples(self):
+        # Admissible: three masks of full rank whose span misses the total
+        # flip, both decided by elimination over F_2.
+        n, full = 4, 0b1111
+        for masks in itertools.product(range(1, 16), repeat=3):
+            rows = {}
+
+            def residue(m):
+                for pivot, row in rows.items():
+                    if m & pivot:
+                        m ^= row
+                return m
+
+            for m in masks:
+                m = residue(m)
+                if m:
+                    rows[m & -m] = m
+            ok = len(rows) == 3 and residue(full) != 0
+            try:
+                RepresentationSpec(n, masks)
+            except InvalidSpec:
+                assert not ok, masks
+            else:
+                assert ok, masks
 
 
 class TestExtend:

@@ -24,6 +24,7 @@ from ghw.core import (
     permute_coordinates,
     validate_ghw,
     _annihilator,
+    _support_alignment,
 )
 from ghw.enumerate import cached_census
 
@@ -272,6 +273,48 @@ class TestAnnihilator:
             flips = [sv.flips for sv, _ in p.gens]
             assert brute_annihilators(n, flips) == [p.support_mask]
             assert brute_annihilators(n, p.elements) == [p.support_mask]
+
+
+def _kernel_presentation(n: int, sigma: int) -> GhwPresentation:
+    """A presentation with support sigma and zero translations."""
+    basis, span = [], {0}
+    for m in range(1, 1 << n):
+        if m not in span and not bin(m & sigma).count("1") % 2:
+            basis.append(m)
+            span |= {m ^ x for x in span}
+    return GhwPresentation(
+        n, [(SignVector(n, m), TranslationClass(n, 0)) for m in basis])
+
+
+def _assert_aligns(n: int, perm, src: int, dst: int) -> None:
+    assert sorted(perm) == list(range(1, n + 1))
+    inside = [perm[i] - 1 for i in range(n) if src >> i & 1]
+    outside = [perm[i] - 1 for i in range(n) if not src >> i & 1]
+    assert sum(1 << j for j in inside) == dst
+    assert inside == sorted(inside)
+    assert outside == sorted(outside)
+
+
+class TestSupportAlignment:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_normalizing_permutation(self, n):
+        for sigma in range(1, 1 << n):
+            k = sigma.bit_count()
+            if k % 2 == 0:
+                continue
+            p = _kernel_presentation(n, sigma)
+            assert p.support_mask == sigma
+            perm = validate_ghw(p).normalizing_permutation
+            _assert_aligns(n, perm, sigma, (1 << k) - 1)
+            assert permute_coordinates(p, perm).support_mask == (1 << k) - 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_any_target(self, n):
+        for src in range(1 << n):
+            for dst in range(1 << n):
+                if src.bit_count() == dst.bit_count():
+                    _assert_aligns(n, _support_alignment(n, src, dst),
+                                   src, dst)
 
 
 class TestFamiliesValid:

@@ -13,6 +13,7 @@ from ghw.enumerate import (
     census_from_jsonl,
     census_table,
     census_to_jsonl,
+    censuses,
     enumerate_census,
     hyperplane_classes,
 )
@@ -169,3 +170,25 @@ def test_workers_deterministic():
     multi = enumerate_census(5, workers=2)
     assert [e.key for e in solo.entries] == [e.key for e in multi.entries]
     assert solo.entries == multi.entries
+
+
+class TestCensuses:
+    def test_below_long_mode_dim_is_cached(self):
+        found = censuses(5)
+        assert sorted(found) == [2, 3, 4, 5]
+        assert all(c is cached_census(n) for n, c in found.items())
+
+    @pytest.mark.parametrize("limits", [{"workers": 0}, {"budget": 0}])
+    def test_limits_checked_before_any_dimension(self, monkeypatch, limits):
+        import ghw.enumerate as enum_mod
+
+        def boom(n):
+            raise AssertionError(f"dimension {n} was built")
+
+        monkeypatch.setattr(enum_mod, "cached_census", boom)
+        with pytest.raises(ValueError):
+            censuses(3, **limits)
+
+    def test_workers_checked_by_enumerate_census(self):
+        with pytest.raises(ValueError):
+            enumerate_census(3, workers=0)

@@ -1,4 +1,6 @@
+import ast
 import os
+import random
 import subprocess
 import sys
 from math import factorial
@@ -7,10 +9,17 @@ from pathlib import Path
 import pytest
 
 import ghw
-from ghw._kernels import canonicalize_batch, census_leaves
-from ghw._kernels.common import build_tables
+from ghw import _kernels
+from ghw._kernels import (
+    build_tables,
+    canonicalize_batch,
+    census_leaves,
+    normalized_ranks,
+    reduced,
+)
 from ghw.automorphisms import normalizer_stabilizer_order
-from ghw.core import GhwPresentation
+from ghw.core import GhwPresentation, apply_coboundary, permute_coordinates
+from ghw.enumerate import cached_census
 
 CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
 
@@ -82,3 +91,43 @@ def test_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _permuted_route(p):
+    """normalized_ranks the long way: build the relabeled presentation and
+    read its columns."""
+    q = permute_coordinates(p, p.report.normalizing_permutation)
+    tab = build_tables(p.n, p.support_mask.bit_count())
+    assert q.elements == tab.H
+    return tab, reduced(tab, q.columns())
+
+
+def _full_scramble(rng, p):
+    perm = list(range(1, p.n + 1))
+    rng.shuffle(perm)
+    return apply_coboundary(permute_coordinates(p, tuple(perm)),
+                            rng.randrange(1 << p.n))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_normalized_ranks_matches_permuted_presentation(n):
+    rng = random.Random(4000 + n)
+    entries = cached_census(n).entries
+    if n == 6:
+        entries = entries[::25]
+    for e in entries:
+        for p in (e.presentation, _full_scramble(rng, e.presentation)):
+            tab, ranks = normalized_ranks(p)
+            want_tab, want = _permuted_route(p)
+            assert tab is want_tab
+            assert ranks == want, (e.key_hex, p)
+
+
+def test_kernel_imports_no_package_module():
+    tree = ast.parse(Path(_kernels.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.dump(node)
+            assert not node.module.startswith("ghw"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ghw") for a in node.names)
