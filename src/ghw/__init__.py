@@ -48,12 +48,12 @@ from .core import (
     GhwError,
     GhwPresentation,
     InvalidPresentation,
+    MAX_DIM,
     ParseError,
     SignVector,
     TranslationClass,
     ValidationReport,
     apply_coboundary,
-    dimension_cap,
     expand_cocycle,
     find_distinguished_elements,
     find_torsion_element,

@@ -141,12 +141,13 @@ def normalized_ranks(p):
     src = [0] * n
     for i, pos in enumerate(p.report.normalizing_permutation):
         src[pos - 1] = i
+    # old[m] is new mask m with bit j moved back to bit src[j].
+    old = [0]
+    for i in src:
+        old += [x | 1 << i for x in old]
     s = p.s_by_mask
-    cols = [0] * n
-    for t, h in enumerate(tab.H):
-        val = s[sum((h >> j & 1) << i for j, i in enumerate(src))]
-        for j, i in enumerate(src):
-            cols[j] |= (val >> i & 1) << t
+    vals = [s[old[h]] for h in tab.H]
+    cols = [sum((v >> i & 1) << t for t, v in enumerate(vals)) for i in src]
     return tab, reduced(tab, cols)
 
 

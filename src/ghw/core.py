@@ -13,7 +13,6 @@ to coordinate i.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -39,10 +38,13 @@ __all__ = [
     "format_group",
     "permute_coordinates",
     "apply_coboundary",
-    "dimension_cap",
+    "MAX_DIM",
 ]
 
-DEFAULT_MAX_DIM = 8
+# The largest dimension a group literal, a dimension flag or a census may
+# name. A key walks all k!(n-k)! support-preserving permutations of a
+# 2^(n-1)-entry table, so its cost grows about ninefold per dimension.
+MAX_DIM = 8
 
 
 class GhwError(Exception):
@@ -68,17 +70,6 @@ class ParseError(GhwError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-def dimension_cap() -> int:
-    """Configured dimension ceiling; override with the GHW_MAX_DIM env var."""
-    raw = os.environ.get("GHW_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    cap = int(raw)
-    if cap < 2:
-        raise ValueError("GHW_MAX_DIM must be at least 2")
-    return cap
 
 
 def _check_coords(n: int, mask: int) -> None:
@@ -131,19 +122,12 @@ class SignVector:
         return hash((SignVector, self.n, self.flips))
 
     @property
-    def is_identity(self) -> bool:
-        return self.flips == 0
-
-    @property
     def parity(self) -> int:
         """Determinant exponent: 0 for det +1, 1 for det -1."""
         return self.flips.bit_count() & 1
 
     def flipped_coordinates(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.flips >> i & 1)
-
-    def fixed_coordinates(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if not self.flips >> i & 1)
 
     def __repr__(self) -> str:
         return f"SignVector({self.n}, {self.to_string()!r})"
@@ -190,9 +174,6 @@ class TranslationClass:
 
     def __hash__(self) -> int:
         return hash((TranslationClass, self.n, self.halves))
-
-    def has_half(self, coordinate: int) -> bool:
-        return bool(self.halves >> (coordinate - 1) & 1)
 
     def half_coordinates(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.halves >> i & 1)
@@ -589,16 +570,20 @@ class _Cursor:
 def parse_group(text: str) -> GhwPresentation:
     """Parse the group literal format, e.g. 'dim=3; gens=+--:HH0,-+-:0HH'.
 
-    Errors carry the 1-based line and column of the offending token.
+    Errors carry the 1-based line and column of the offending token. The
+    dimension must lie in 2..MAX_DIM; it is checked before any generator
+    is read.
     """
     cur = _Cursor(text)
     cur.expect("dim")
     cur.expect("=")
+    cur.skip_ws()
+    at = cur.pos
     n = cur.read_int()
     if n < 2:
-        cur.fail("dimension must be at least 2")
-    if n > 64:
-        cur.fail("dimension exceeds the 64-coordinate mask limit")
+        cur.fail("dimension must be at least 2", at)
+    if n > MAX_DIM:
+        cur.fail(f"dimension {n} exceeds the cap {MAX_DIM}", at)
     cur.expect(";")
     cur.expect("gens")
     cur.expect("=")

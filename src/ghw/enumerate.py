@@ -14,20 +14,23 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from math import factorial
 
 from . import _kernels
 from .automorphisms import out_order
 from .cohomology import h1_order
 from .core import (
+    MAX_DIM,
     DimensionMismatch,
     GhwError,
     GhwPresentation,
     SignVector,
     TranslationClass,
     _require_valid,
-    dimension_cap,
 )
 from .homology import betti_vector
 
@@ -140,20 +143,23 @@ class Census:
         return sum(1 for e in self.entries if e.orientable)
 
 
+def _invariants(p: GhwPresentation, k: int) -> dict:
+    """The entry fields that a valid presentation with support size k fixes."""
+    return {
+        "support": p.support,
+        "beta1": 1 if k == 1 else 0,
+        "orientable": k == p.n,
+        "betti": betti_vector(p),
+        "h1_order": h1_order(p),
+    }
+
+
 def _entry_from_cols(n: int, k: int, cols) -> CensusEntry:
     tab = _kernels.build_tables(n, k)
     p = GhwPresentation.from_columns(n, tab.H, cols)
     assert p.valid, "kernel emitted an invalid leaf"
-    return CensusEntry(
-        key=_key_bytes(n, k, cols),
-        presentation=p,
-        support=p.support,
-        beta1=1 if k == 1 else 0,
-        orientable=k == n,
-        betti=betti_vector(p),
-        h1_order=h1_order(p),
-        out_order=out_order(p).out_order,
-    )
+    return CensusEntry(key=_key_bytes(n, k, cols), presentation=p,
+                       out_order=out_order(p).out_order, **_invariants(p, k))
 
 
 def _support_entries(n: int, k: int, deadline: float | None):
@@ -187,9 +193,7 @@ def enumerate_census(
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    cap = dimension_cap()
-    if n > cap:
-        raise DimensionTooLarge(f"dimension {n} exceeds the cap {cap}")
+    _check_cap(n)
     if n >= LONG_MODE_DIM and not long_mode:
         raise DimensionTooLarge(
             f"dimension {n} is enumerable only in long mode"
@@ -199,22 +203,12 @@ def enumerate_census(
         budget = DEFAULT_BUDGET
     deadline = time.monotonic() + budget if budget is not None else None
     sizes = [len(s) for s in hyperplane_classes(n)]
+    procs = min(workers, len(sizes))
     entries = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            futures = [
-                pool.submit(_support_entries, n, k, deadline)
-                for k in sizes
-            ]
-            for k, fut in zip(sizes, futures):
-                entries.extend(fut.result())
-                if progress is not None:
-                    progress(f"dim {n} support size {k}: done")
-    else:
-        for k in sizes:
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhausted(f"before support size {k} of dim {n}")
-            batch = _support_entries(n, k, deadline)
+    with ProcessPoolExecutor(procs) if procs > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        batches = run(_support_entries, repeat(n), sizes, repeat(deadline))
+        for k, batch in zip(sizes, batches):
             entries.extend(batch)
             if progress is not None:
                 progress(f"dim {n} support size {k}: {len(batch)} classes")
@@ -225,6 +219,11 @@ def enumerate_census(
 def cached_census(n: int) -> Census:
     """Memoized default-budget census; the workhorse for graphs and tests."""
     return enumerate_census(n, long_mode=n >= LONG_MODE_DIM)
+
+
+def _check_cap(n: int) -> None:
+    if n > MAX_DIM:
+        raise DimensionTooLarge(f"dimension {n} exceeds the cap {MAX_DIM}")
 
 
 def _check_run_limits(budget: float | None, workers: int) -> None:
@@ -245,8 +244,10 @@ def censuses(
 
     Dimensions below LONG_MODE_DIM come from cached_census; from there on
     each is enumerated under the given long mode, budget and workers. The
-    budget and worker count are checked before any dimension is built.
+    dimension cap, budget and worker count are checked before any dimension
+    is built.
     """
+    _check_cap(max_dim)
     _check_run_limits(budget, workers)
     out = {}
     for n in range(2, max_dim + 1):
@@ -307,36 +308,77 @@ def census_to_jsonl(census: Census) -> str:
     return "".join(_entry_json(e) + "\n" for e in census.entries)
 
 
+def _coordinates_mask(coords) -> int:
+    if coords != sorted(set(coords)):
+        raise ValueError(f"coordinates {coords!r} are not increasing")
+    return sum(1 << (i - 1) for i in coords)
+
+
+def _entry_from_json(obj: dict) -> CensusEntry:
+    """One census entry, checked against every field its presentation fixes.
+
+    Raises ValueError naming the first bad field. The key must be that of
+    the presentation's own reduced columns, the form the census writes;
+    its minimality and the stabilizer inside out_order are not recomputed,
+    but out_order must be 2 * h1_order times a divisor of k!(n-k)!.
+    """
+    n = obj["dim"]
+    if type(n) is not int or not 2 <= n <= MAX_DIM:
+        raise ValueError(f"dim {n!r} is outside 2..{MAX_DIM}")
+    try:
+        p = GhwPresentation(n, [
+            (SignVector(n, _coordinates_mask(g["flips"])),
+             TranslationClass(n, _coordinates_mask(g["halves"])))
+            for g in obj["generators"]
+        ])
+    except (GhwError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"generators: {exc}") from None
+    if not p.valid:
+        raise ValueError(f"generators: {p.report.reason}")
+    tab, ranks = _kernels.normalized_ranks(p)
+    k = tab.k
+    key = _key_bytes(n, k, _kernels.to_codes(tab, ranks))
+    if obj["canonical_key"] != key.hex():
+        raise ValueError("canonical_key is not the key of the generators")
+    fields = _invariants(p, k)
+    for name, value in fields.items():
+        if obj[name] != (list(value) if isinstance(value, tuple) else value):
+            raise ValueError(f"{name} {obj[name]!r} differs from {value!r}, "
+                             "which the generators give")
+    out = obj["out_order"]
+    twice_h1 = 2 * fields["h1_order"]
+    if not (type(out) is int and out > 0 and out % twice_h1 == 0
+            and factorial(k) * factorial(n - k) % (out // twice_h1) == 0):
+        raise ValueError(f"out_order {out!r} is not {twice_h1} times a "
+                         f"divisor of {k}! * {n - k}!")
+    return CensusEntry(key=key, presentation=p, out_order=out, **fields)
+
+
 def census_from_jsonl(text: str) -> Census:
+    """Read what census_to_jsonl wrote, checking every line on the way.
+
+    A bad line raises ValueError naming its 1-based number and the field
+    (see _entry_from_json); lines of different dimensions raise
+    DimensionMismatch.
+    """
     entries = []
-    dim = None
-    for line in text.splitlines():
+    seen = set()
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        n = obj["dim"]
-        if dim is None:
-            dim = n
-        elif dim != n:
+        try:
+            e = _entry_from_json(json.loads(line))
+        except KeyError as exc:
+            raise ValueError(f"census line {number}: no field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"census line {number}: {exc}") from None
+        if entries and e.presentation.n != entries[0].presentation.n:
             raise DimensionMismatch("mixed dimensions in census stream")
-        gens = []
-        for g in obj["generators"]:
-            flips = sum(1 << (i - 1) for i in g["flips"])
-            halves = sum(1 << (i - 1) for i in g["halves"])
-            gens.append((SignVector(n, flips), TranslationClass(n, halves)))
-        p = GhwPresentation(n, gens)
-        entries.append(
-            CensusEntry(
-                key=bytes.fromhex(obj["canonical_key"]),
-                presentation=p,
-                support=tuple(obj["support"]),
-                beta1=obj["beta1"],
-                orientable=obj["orientable"],
-                betti=tuple(obj["betti"]),
-                h1_order=obj["h1_order"],
-                out_order=obj["out_order"],
-            )
-        )
-    if dim is None:
+        if e.key in seen:
+            raise ValueError(f"census line {number}: canonical_key repeats "
+                             "an earlier line")
+        seen.add(e.key)
+        entries.append(e)
+    if not entries:
         raise ValueError("empty census stream")
-    return Census(dim, entries)
+    return Census(entries[0].presentation.n, entries)

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from ghw.cli import main
+from ghw.cli import _parser, main
+from ghw.core import MAX_DIM
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 
@@ -228,6 +230,91 @@ def test_run_limits_rejected(capsys, argv, limit):
     assert code == 1
     assert out == ""
     assert err.startswith("ghw: error:")
+
+
+class TestOneParser:
+    def test_built_once(self):
+        assert _parser() is _parser()
+
+    def test_calls_leak_no_state(self, capsys, monkeypatch):
+        import ghw.constructions as constructions
+
+        seen = []
+        real = constructions.reduce
+
+        def spy(p, functional, coordinate):
+            seen.append(functional)
+            return real(p, functional, coordinate)
+
+        monkeypatch.setattr(constructions, "reduce", spy)
+        with_f = ("reduce", "--group", DIDICOSM, "--coordinate", "2",
+                  "--functional", "1")
+        without = ("reduce", "--group", DIDICOSM, "--coordinate", "2")
+        first = run(capsys, *with_f)
+        second = run(capsys, *without)
+        assert seen == [1, None]
+        assert run(capsys, *with_f) == first
+        assert run(capsys, *without) == second
+        assert first[0] == second[0] == 0
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        listed = out.split("positional arguments:")[1]
+        for name in ("enumerate", "table", "betti", "graph", "reduce",
+                     "realize", "embed-exist", "embed-mono", "semidirect",
+                     "didicosm-witness", "out-order", "isomorphic"):
+            assert f"    {name} " in listed
+
+
+class TestDimensionCap:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # Past the cap these commands cost minutes and gigabytes; if the cap
+        # ever stops them, fail at the first presentation or census instead.
+        import ghw.core
+        import ghw.enumerate
+
+        def boom(*args, **kwargs):
+            raise AssertionError("work started past the dimension cap")
+
+        monkeypatch.setattr(ghw.core, "expand_cocycle", boom)
+        monkeypatch.setattr(ghw.enumerate, "cached_census", boom)
+        monkeypatch.setattr(ghw.enumerate, "enumerate_census", boom)
+
+    @pytest.mark.parametrize("argv", [
+        ("realize", "--family", "klein", "--dim", str(MAX_DIM + 4)),
+        ("realize", "--flips", "6,5", "--dim", str(MAX_DIM + 1)),
+        ("enumerate", "--dim", str(MAX_DIM + 1)),
+        ("table", "--max-dim", str(MAX_DIM + 1), "--long"),
+        ("graph", "--max-dim", str(MAX_DIM + 1), "--long"),
+        ("realize", "--family", "klein", "--dim", "1"),
+    ])
+    def test_flags_rejected_fast(self, capsys, argv):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert f"the cap is {MAX_DIM}" in err
+
+    def test_literal_rejected_fast(self, capsys):
+        n = 30
+        gen = "-" + "+" * (n - 1) + ":" + "H" * n
+        literal = f"dim={n}; gens=" + ",".join([gen] * (n - 1))
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "betti", "--group", literal)
+        assert time.monotonic() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert f"cap {MAX_DIM}" in err
+
+
+def test_dimension_at_the_cap_is_allowed(capsys):
+    code, out, _ = run(capsys, "realize", "--family", "gamma",
+                       "--dim", str(MAX_DIM))
+    assert code == 0
+    assert json.loads(out)["group"].startswith(f"dim={MAX_DIM};")
 
 
 class TestUsageErrors:

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import ghw.core as core
 from ghw.core import (
+    MAX_DIM,
     DependentGenerators,
     GhwPresentation,
     InvalidPresentation,
@@ -11,7 +13,6 @@ from ghw.core import (
     SignVector,
     TranslationClass,
     apply_coboundary,
-    dimension_cap,
     expand_cocycle,
     find_distinguished_elements,
     find_torsion_element,
@@ -120,6 +121,27 @@ class TestParseFormat:
         with pytest.raises(ParseError) as info:
             parse_group("dim=3;\ngens=+--:HH0,\n-+-:0HX")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("n", [MAX_DIM + 1, 64])
+    def test_dimension_cap_before_expansion(self, monkeypatch, n):
+        def boom(gens):
+            raise AssertionError("the cocycle was expanded")
+
+        monkeypatch.setattr(core, "expand_cocycle", boom)
+        gen = "-" + "+" * (n - 1) + ":" + "0" * n
+        with pytest.raises(ParseError, match=f"cap {MAX_DIM}") as info:
+            parse_group(f"\n  dim = {n}; gens=" + ",".join([gen] * (n - 1)))
+        assert (info.value.line, info.value.column) == (2, 9)
+
+    def test_cap_holds_without_generators(self):
+        with pytest.raises(ParseError, match="cap"):
+            parse_group(f"dim={MAX_DIM + 1}; gens=")
+
+    def test_dimension_at_cap_parses(self):
+        from ghw.constructions import klein_group
+
+        p = klein_group(MAX_DIM)
+        assert parse_group(format_group(p)) == p
 
 
 class TestValidation:
@@ -321,7 +343,7 @@ class TestFamiliesValid:
     def test_families_valid_to_cap(self):
         from ghw.constructions import gamma_group, klein_group
 
-        for n in range(2, dimension_cap() + 1):
+        for n in range(2, MAX_DIM + 1):
             assert validate_ghw(klein_group(n)).verdict
             assert validate_ghw(gamma_group(n)).verdict
 

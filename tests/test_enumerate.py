@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from ghw.core import parse_group, permute_coordinates, apply_coboundary
+from ghw.core import MAX_DIM, parse_group, permute_coordinates, apply_coboundary
 from ghw.enumerate import (
     BudgetExhausted,
     DimensionMismatch,
@@ -119,17 +120,17 @@ class TestIsomorphism:
 
 class TestJsonl:
     def test_round_trip_byte_identical(self):
-        c = cached_census(4)
-        text = census_to_jsonl(c)
-        again = census_from_jsonl(text)
-        assert census_to_jsonl(again) == text
+        for n in (2, 3, 4, 5):
+            text = census_to_jsonl(cached_census(n))
+            again = census_from_jsonl(text)
+            assert census_to_jsonl(again) == text
 
     def test_round_trip_preserves_fields(self):
-        c = cached_census(3)
-        again = census_from_jsonl(census_to_jsonl(c))
-        assert again.n == 3
-        for a, b in zip(c.entries, again.entries):
-            assert a == b
+        for n in (2, 3, 4, 5):
+            c = cached_census(n)
+            again = census_from_jsonl(census_to_jsonl(c))
+            assert again.n == n
+            assert again.entries == c.entries
 
     def test_mixed_dimensions_rejected(self):
         lines = (census_to_jsonl(cached_census(2)).rstrip("\n")
@@ -137,6 +138,113 @@ class TestJsonl:
                  + census_to_jsonl(cached_census(3)))
         with pytest.raises(DimensionMismatch):
             census_from_jsonl(lines)
+
+
+def _edited(n: int, index: int, edit) -> str:
+    """The dim-n census JSONL with edit applied to the object of one line."""
+    lines = census_to_jsonl(cached_census(n)).splitlines()
+    obj = json.loads(lines[index])
+    edit(obj)
+    lines[index] = json.dumps(obj)
+    return "\n".join(lines) + "\n"
+
+
+def _rejected(text: str, line: int, field: str):
+    with pytest.raises(ValueError, match=f"census line {line}: {field}"):
+        census_from_jsonl(text)
+
+
+def _didicosm_line() -> int:
+    keys = [e.key for e in cached_census(3).entries]
+    return keys.index(DIDICOSM_KEY)
+
+
+class TestJsonlChecks:
+    """census_from_jsonl rejects a line that its own presentation refutes."""
+
+    def test_invalid_presentation_and_bad_out_order(self):
+        # Changed halves give the group torsion, so the line is refused at
+        # its generators, before its impossible out_order of 7.
+        i = _didicosm_line()
+
+        def edit(obj):
+            obj["generators"][0]["halves"] = []
+            obj["out_order"] = 7
+
+        _rejected(_edited(3, i, edit), i + 1, "generators")
+
+    def test_valid_halves_with_another_key(self):
+        # The first two classes of dimension 3 share their flips; giving the
+        # second the first one's halves leaves a valid group of another
+        # class, whose reduced columns do not give the stored key.
+        first, second = cached_census(3).entries[:2]
+        assert [sv for sv, _ in first.presentation.gens] == \
+            [sv for sv, _ in second.presentation.gens]
+
+        def edit(obj):
+            for g, (_, tc) in zip(obj["generators"], first.presentation.gens):
+                g["halves"] = list(tc.half_coordinates())
+
+        _rejected(_edited(3, 1, edit), 2, "canonical_key is not the key")
+
+    def test_coboundary_shift_is_the_same_entry(self):
+        # Reduced columns ignore coboundaries, so shifted halves still give
+        # the stored key; the entry loads as an isomorphic presentation.
+        i = _didicosm_line()
+        moved = apply_coboundary(cached_census(3).entries[i].presentation, 1)
+        assert moved != cached_census(3).entries[i].presentation
+
+        def edit(obj):
+            for g, (_, tc) in zip(obj["generators"], moved.gens):
+                g["halves"] = list(tc.half_coordinates())
+
+        back = census_from_jsonl(_edited(3, i, edit))
+        assert back.entry(DIDICOSM_KEY).presentation == moved
+
+    @pytest.mark.parametrize("field, value", [
+        ("support", [1, 2]),
+        ("beta1", 1),
+        ("orientable", False),
+        ("betti", [1, 0, 1, 1]),
+        ("h1_order", 4),
+        ("out_order", 95),
+        ("out_order", 8 * 2 * 5),
+        ("out_order", 0),
+        ("out_order", "96"),
+    ])
+    def test_wrong_derived_field(self, field, value):
+        i = _didicosm_line()
+        _rejected(_edited(3, i, lambda obj: obj.update({field: value})),
+                  i + 1, field)
+
+    def test_out_order_multiple_accepted(self):
+        # out_order is checked for its shape only: 2 * h1_order times a
+        # divisor of k!(n-k)!, here 16 * 1 for the didicosm's 96 = 16 * 6.
+        i = _didicosm_line()
+        back = census_from_jsonl(
+            _edited(3, i, lambda obj: obj.update(out_order=16)))
+        assert back.entry(DIDICOSM_KEY).out_order == 16
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda obj: obj.update(dim=MAX_DIM + 1), "dim"),
+        (lambda obj: obj.update(dim=1), "dim"),
+        (lambda obj: obj["generators"][0].update(flips=[1, 1]), "generators"),
+        (lambda obj: obj["generators"][0].update(flips=[5]), "generators"),
+        (lambda obj: obj["generators"][0].update(halves=[0]), "generators"),
+        (lambda obj: obj["generators"].pop(), "generators"),
+        (lambda obj: obj.pop("betti"), "no field 'betti'"),
+    ])
+    def test_malformed_line(self, edit, field):
+        _rejected(_edited(4, 2, edit), 3, field)
+
+    def test_not_json(self):
+        text = census_to_jsonl(cached_census(2)) + "{\n"
+        _rejected(text, 2, "")
+
+    def test_repeated_line(self):
+        text = census_to_jsonl(cached_census(3))
+        first = text.splitlines()[0]
+        _rejected(text + first + "\n", 4, "canonical_key repeats")
 
 
 class TestHyperplaneClasses:
@@ -188,6 +296,17 @@ class TestCensuses:
         monkeypatch.setattr(enum_mod, "cached_census", boom)
         with pytest.raises(ValueError):
             censuses(3, **limits)
+
+    def test_cap_checked_before_any_dimension(self, monkeypatch):
+        import ghw.enumerate as enum_mod
+
+        def boom(n, **kwargs):
+            raise AssertionError(f"dimension {n} was built")
+
+        monkeypatch.setattr(enum_mod, "cached_census", boom)
+        monkeypatch.setattr(enum_mod, "enumerate_census", boom)
+        with pytest.raises(DimensionTooLarge):
+            censuses(MAX_DIM + 1, long_mode=True)
 
     def test_workers_checked_by_enumerate_census(self):
         with pytest.raises(ValueError):
