@@ -7,6 +7,15 @@ column of a valid cocycle is a character of H, so it is one of T = 2^(n-1)
 codes; the kernel holds a column as its rank among them, and ranks compare
 the way codes do. Column codes are Python ints, so every dimension runs the
 same pure-Python code.
+
+The permutation primitive is compare: it relabels reduced ranks one position
+at a time and stops at the first position that differs from a reference.
+The census walk compares each candidate prefix with itself, and counts the
+leaf's stabilizer on the way; canonical compares with its best candidate so
+far and builds a new best through relabel; stabilizer_order counts the
+permutations that compare equal. No table is precomposed per permutation,
+so a key one dimension above the census cap costs no more memory than the
+permutation list itself.
 """
 
 from __future__ import annotations
@@ -39,6 +48,10 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
       colfix     per coordinate, bitset of elements fixing it
       needcheck  per coordinate, elements whose last fixed coordinate it is
       cands      per coordinate, sorted reduced ranks
+      basis      a basis of H: the masks {a, a+1} for a + 1 < k, then {a}
+                 for a >= k
+      dual       per basis element, the code of the character that is 1 on
+                 it and 0 on the rest of the basis
       perms      support-preserving coordinate permutations as
                  (inv, image): new coordinate j takes old coordinate
                  inv[j], and image[r] is the rank of character r relabeled
@@ -91,22 +104,48 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
         tuple(p for p in perms if all(i <= d for i in p[0][:d + 1]))
         for d in range(n)
     ]
+    index = {h: t for t, h in enumerate(H)}
+    basis = [3 << a for a in range(k - 1)] + [1 << a for a in range(k, n)]
+    dual = [next(c for c in codes
+                 if all((c >> index[b] & 1) == (b == d) for b in basis))
+            for d in basis]
     return SimpleNamespace(
         n=n, k=k, T=T, H=tuple(H), codes=tuple(codes), rank=rank,
         red=tuple(red), colfix=tuple(colfix), needcheck=tuple(needcheck),
         cands=tuple(tuple(sorted(set(r))) for r in red),
+        basis=tuple(basis), dual=tuple(dual),
         perms=tuple(perms), stab=tuple(stab),
     )
 
 
 def relabel(tab, perm, ranks) -> tuple[int, ...]:
-    """The permutation primitive: reduced ranks after relabeling by perm.
+    """Reduced ranks after relabeling by perm.
 
     ranks may be a prefix of length d+1 when perm maps {0..d} onto itself.
+    Only canonical calls it, to build a new least candidate in full.
     """
     inv, image = perm
     red = tab.red
     return tuple([red[j][image[ranks[inv[j]]]] for j in range(len(ranks))])
+
+
+def compare(tab, perm, ranks, ref) -> int:
+    """The permutation primitive: relabeled ranks against ref, lexicographic.
+
+    Position j of the relabeling is red[j][image[ranks[inv[j]]]]; the scan
+    stops at the first position that differs from ref and returns -1 or 1 as
+    the relabeling is smaller or larger there, or 0 when it equals ref on
+    all len(ref) positions. As for relabel, ranks and ref may be prefixes
+    of length d+1 when perm maps {0..d} onto itself. Nothing is precomposed
+    per permutation.
+    """
+    inv, image = perm
+    red = tab.red
+    for j, r in enumerate(ref):
+        v = red[j][image[ranks[inv[j]]]]
+        if v != r:
+            return -1 if v < r else 1
+    return 0
 
 
 def reduced(tab, cols) -> tuple[int, ...]:
@@ -115,50 +154,70 @@ def reduced(tab, cols) -> tuple[int, ...]:
 
 
 def canonical(tab, ranks) -> tuple[int, ...]:
-    """Lexicographically least relabeling of a reduced rank tuple."""
-    return min(relabel(tab, perm, ranks) for perm in tab.perms)
+    """Lexicographically least relabeling of a reduced rank tuple.
+
+    The best candidate so far is kept; each permutation is dropped at its
+    first position that is larger than it.
+    """
+    best = ranks
+    for perm in tab.perms:
+        if compare(tab, perm, ranks, best) < 0:
+            best = relabel(tab, perm, ranks)
+    return best
 
 
 def stabilizer_order(tab, ranks) -> int:
     """Number of support-preserving permutations fixing a reduced tuple."""
-    return sum(relabel(tab, perm, ranks) == ranks for perm in tab.perms)
+    return sum(not compare(tab, perm, ranks, ranks) for perm in tab.perms)
 
 
 def to_codes(tab, ranks) -> tuple[int, ...]:
     return tuple(tab.codes[r] for r in ranks)
 
 
-def normalized_ranks(p):
-    """Tables for p's support size and p's reduced column ranks, after the
-    support of p is moved onto {1..k}.
+def table_ranks(n: int, support_mask: int, s_by_mask):
+    """Tables for the support size and the reduced column ranks of a cocycle
+    table, after its support is moved onto {1..k}.
 
-    The columns are read straight from p's cocycle table: new coordinate j
-    is old coordinate src[j] under p.report.normalizing_permutation, and
-    bit t of new column j is that coordinate of s at the old mask of H[t].
+    s_by_mask maps each element mask of H (the even-parity masks of
+    support_mask) to its halves mask, linearly. The normalizing order takes
+    the support coordinates, then the rest, each in increasing order, as
+    core._support_alignment does: new coordinate j is old coordinate
+    src[j]. New column j is a character of H, so it is the sum of the dual
+    codes of the basis elements whose old mask has bit src[j] set in s.
     """
-    n = p.n
-    tab = build_tables(n, p.support_mask.bit_count())
-    src = [0] * n
-    for i, pos in enumerate(p.report.normalizing_permutation):
-        src[pos - 1] = i
-    # old[m] is new mask m with bit j moved back to bit src[j].
-    old = [0]
+    tab = build_tables(n, support_mask.bit_count())
+    src = ([i for i in range(n) if support_mask >> i & 1]
+           + [i for i in range(n) if not support_mask >> i & 1])
+    vals = [s_by_mask[sum(1 << src[j] for j in range(n) if b >> j & 1)]
+            for b in tab.basis]
+    cols = []
     for i in src:
-        old += [x | 1 << i for x in old]
-    s = p.s_by_mask
-    vals = [s[old[h]] for h in tab.H]
-    cols = [sum((v >> i & 1) << t for t, v in enumerate(vals)) for i in src]
+        col = 0
+        for d, v in zip(tab.dual, vals):
+            if v >> i & 1:
+                col ^= d
+        cols.append(col)
     return tab, reduced(tab, cols)
 
 
+def normalized_ranks(p):
+    """table_ranks of a presentation's own cocycle table."""
+    return table_ranks(p.n, p.support_mask, p.s_by_mask)
+
+
 def census_leaves(n: int, k: int, deadline: float | None = None):
-    """Canonical torsion-free column tuples for support {1..k}, lex sorted.
+    """Canonical torsion-free column tuples for support {1..k}, lex sorted,
+    each paired with its stabilizer order: a list of (codes, stab) pairs.
 
     Orderly generation: when a permutation mapping {0..d} onto itself makes
     the prefix of depth d lexicographically smaller, no completion of that
-    prefix is canonical, so its subtree is cut. At the last depth that test
-    is the full canonical test. The deadline (a time.monotonic value) is
-    checked at every node; TimeoutError is raised once it passes.
+    prefix is canonical, so its subtree is cut. Each permutation is compared
+    with the prefix through compare, one position at a time. At the last
+    depth that test is the full canonical test, and the permutations that
+    compare equal there are exactly the leaf's stabilizer. The deadline (a
+    time.monotonic value) is checked at every node; TimeoutError is raised
+    once it passes.
     """
     tab = build_tables(n, k)
     out = []
@@ -166,18 +225,25 @@ def census_leaves(n: int, k: int, deadline: float | None = None):
     def walk(depth, sat, prefix):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"census {n=} {k=} exceeded its budget")
+        stab = tab.stab[depth]
+        leaf = depth == n - 1
         for r in tab.cands[depth]:
             s2 = sat | (tab.codes[r] & tab.colfix[depth])
             # Elements whose last fixed coordinate this is need a witness now.
             if tab.needcheck[depth] & ~s2:
                 continue
             cur = prefix + (r,)
-            if any(relabel(tab, p, cur) < cur for p in tab.stab[depth]):
-                continue
-            if depth == n - 1:
-                out.append(to_codes(tab, cur))
+            fixed = 0
+            for perm in stab:
+                c = compare(tab, perm, cur, cur)
+                if c < 0:
+                    break
+                fixed += not c
             else:
-                walk(depth + 1, s2, cur)
+                if leaf:
+                    out.append((to_codes(tab, cur), fixed))
+                else:
+                    walk(depth + 1, s2, cur)
 
     walk(0, 0, ())
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
+from . import _kernels
 from .cohomology import smith_normal_form, solve_integer
 from .core import (
     DependentGenerators,
@@ -28,6 +29,7 @@ from .core import (
     _basis_of,
     _support_alignment,
 )
+from .enumerate import _canonical_bytes
 
 
 class InvalidSpec(GhwError):
@@ -338,16 +340,17 @@ def reduce(
     return _drop_coordinate(p, _basis_of(members), coordinate)
 
 
+def _drop(mask: int, low: int) -> int:
+    """Delete the bit just above low = 2^(c-1) - 1 (coordinate c) from mask."""
+    return (mask & low) | (mask >> 1 & ~low)
+
+
 def _drop_coordinate(p, basis: list[int], coordinate: int) -> GhwPresentation:
     """Delete a coordinate from a kernel basis; ReductionNotGhw if degenerate."""
     low = (1 << (coordinate - 1)) - 1
-
-    def drop(mask: int) -> int:
-        return (mask & low) | ((mask >> 1) & ~low)
-
     gens = [
-        (SignVector(p.n - 1, drop(m)),
-         TranslationClass(p.n - 1, drop(p.s_by_mask[m])))
+        (SignVector(p.n - 1, _drop(m, low)),
+         TranslationClass(p.n - 1, _drop(p.s_by_mask[m], low)))
         for m in basis
     ]
     try:
@@ -371,46 +374,75 @@ class ReductionChoice:
 
 
 def _kernel_cut(p: GhwPresentation, f: int) -> tuple[list[int], int]:
-    """Kernel basis of f on H, and the mask of coordinates i + 1 where a
+    """Members of ker f on H, and the mask of coordinates i + 1 where a
     member fixing i + 1 carries a half step: reduce's InvalidChoice test.
     """
     members = [m for m in p.elements if not (m & f).bit_count() & 1]
     blocked = 0
     for m in members:
         blocked |= p.s_by_mask[m] & ~m
-    return _basis_of(members), blocked
+    return members, blocked
 
 
-def list_reductions(p: GhwPresentation) -> tuple[ReductionChoice, ...]:
+def list_reductions(
+    p: GhwPresentation, _keys: Optional[dict] = None
+) -> tuple[ReductionChoice, ...]:
     """Enumerate every admissible one-step reduction of p.
 
-    Functionals are scanned modulo the support annihilator (it acts
-    trivially on the holonomy), using the smaller representative of each
-    pair.  Each functional's kernel basis and blocked mask are computed
-    once; blocked coordinates are skipped unbuilt, and the others go
-    through reduce's drop-and-rebuild, omitting those that degenerate.
-    """
-    from .enumerate import canonical_key
+    Functionals f are scanned modulo the support annihilator sigma (it acts
+    trivially on the holonomy), using the smaller of f and f ^ sigma. Each
+    functional's kernel and blocked mask are computed once. Coordinate c is
+    skipped when it is blocked (reduce raises InvalidChoice) or when the
+    unit vector e_c lies in ker f, where dropping c collapses the holonomy
+    (reduce raises ReductionNotGhw).
 
+    Every other pair gives a GHW group, built on the cocycle table alone,
+    with no torsion search. Dropping c is injective on ker f, since only
+    e_c could collapse, so the dropped members form an index-two subgroup
+    one dimension down. A member keeps its fixed coordinates other than c,
+    each with its half step. As c is unblocked, a member fixing c carries
+    no half step there, so the fixed coordinate with a half step that makes
+    each member torsion-free lies outside c and survives the drop. A
+    torsion-free span misses the all-flip element, so the reduced support
+    has odd size. That support is the drop of the one element of
+    {sigma, f, f ^ sigma} whose bit c is clear: the nonzero functional
+    vanishing on the dropped members.
+
+    _keys memoizes the key of each normalized reduced table by
+    (dimension, support size, ranks); build_graph passes one dict per build.
+    """
     if not p.valid:
         raise InvalidPresentation(p.report.reason)
     n = p.n
     if n < 3:
         raise ValueError("cannot reduce below dimension 2")
+    keys = {} if _keys is None else _keys
+    s = p.s_by_mask
     sigma = p.support_mask
+    full = (1 << (n - 1)) - 1
     out = []
     for f in range(1, 1 << n):
         if f >= f ^ sigma:
             continue
-        basis, blocked = _kernel_cut(p, f)
-        for coordinate in range(1, n + 1):
-            if blocked >> (coordinate - 1) & 1:
+        members, blocked = _kernel_cut(p, f)
+        for c in range(n):
+            bit = 1 << c
+            # e_c lies in ker f exactly when c is outside sigma and f.
+            if blocked & bit or not (sigma | f) & bit:
                 continue
-            try:
-                q = _drop_coordinate(p, basis, coordinate)
-            except ReductionNotGhw:
-                continue
-            out.append(ReductionChoice(f, coordinate, canonical_key(q)))
+            low = bit - 1
+            table = {_drop(m, low): _drop(s[m], low) for m in members}
+            support = _drop(next(g for g in (sigma, f, f ^ sigma)
+                                 if not g & bit), low)
+            tab, ranks = _kernels.table_ranks(n - 1, support, table)
+            memo = (n - 1, tab.k, ranks)
+            key = keys.get(memo)
+            if key is None:
+                assert support.bit_count() & 1, "reduced support is even"
+                assert all(~m & full & v for m, v in table.items() if m), (
+                    "unblocked reduction has torsion")
+                key = keys[memo] = _canonical_bytes(tab, ranks)
+            out.append(ReductionChoice(f, c + 1, key))
     return tuple(sorted(out))
 
 

@@ -21,7 +21,6 @@ from itertools import repeat
 from math import factorial
 
 from . import _kernels
-from .automorphisms import out_order
 from .cohomology import h1_order
 from .core import (
     MAX_DIM,
@@ -78,12 +77,16 @@ def _key_bytes(n: int, k: int, cols) -> bytes:
     return bytes([n, k]) + b"".join(c.to_bytes(width, "big") for c in cols)
 
 
+def _canonical_bytes(tab, ranks) -> bytes:
+    """The key of normalized reduced ranks on tab's cell."""
+    canon = _kernels.canonical(tab, ranks)
+    return _key_bytes(tab.n, tab.k, _kernels.to_codes(tab, canon))
+
+
 def canonical_key(p: GhwPresentation) -> bytes:
     """Complete isomorphism invariant; compare as raw bytes, render as hex."""
     _require_valid(p)
-    tab, ranks = _kernels.normalized_ranks(p)
-    canon = _kernels.canonical(tab, ranks)
-    return _key_bytes(p.n, tab.k, _kernels.to_codes(tab, canon))
+    return _canonical_bytes(*_kernels.normalized_ranks(p))
 
 
 def are_isomorphic(p: GhwPresentation, q: GhwPresentation) -> bool:
@@ -154,12 +157,18 @@ def _invariants(p: GhwPresentation, k: int) -> dict:
     }
 
 
-def _entry_from_cols(n: int, k: int, cols) -> CensusEntry:
+def _entry_from_cols(n: int, k: int, cols, stab: int) -> CensusEntry:
+    """The entry of one census leaf and its stabilizer order.
+
+    out_order is 2 * stab * h1_order, the formula of automorphisms.out_order,
+    with the stabilizer the walk counted.
+    """
     tab = _kernels.build_tables(n, k)
     p = GhwPresentation.from_columns(n, tab.H, cols)
     assert p.valid, "kernel emitted an invalid leaf"
+    fields = _invariants(p, k)
     return CensusEntry(key=_key_bytes(n, k, cols), presentation=p,
-                       out_order=out_order(p).out_order, **_invariants(p, k))
+                       out_order=2 * stab * fields["h1_order"], **fields)
 
 
 def _support_entries(n: int, k: int, deadline: float | None):
@@ -168,10 +177,10 @@ def _support_entries(n: int, k: int, deadline: float | None):
     except TimeoutError as exc:
         raise BudgetExhausted(str(exc)) from None
     out = []
-    for i, cols in enumerate(leaves):
+    for i, (cols, stab) in enumerate(leaves):
         if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
             raise BudgetExhausted(f"invariant pass for dim {n} support size {k}")
-        out.append(_entry_from_cols(n, k, cols))
+        out.append(_entry_from_cols(n, k, cols, stab))
     return out
 
 

@@ -185,11 +185,12 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
             vertices.append(Vertex(d, entry.key, name, entry.beta1))
 
     edges = []
+    keys: dict = {}  # list_reductions' key memo, for this build only
     for d in range(3, max_dim + 1):
         lower_keys = {e.key for e in by_dim[d - 1].entries}
         for entry in by_dim[d].entries:
             first_by_target: dict[bytes, ReductionChoice] = {}
-            for choice in list_reductions(entry.presentation):
+            for choice in list_reductions(entry.presentation, keys):
                 if choice.key not in first_by_target:
                     first_by_target[choice.key] = choice
             assert first_by_target, "every vertex must reduce somewhere"

@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch: plain-int affine
 arithmetic (translations doubled so halves stay exact), a bounded order
 search over a lattice window, a from-first-principles enumerator with
-orbit counting by breadth-first closure, a brute stabilizer search, and
-a fraction-free determinant.  None of it imports the package, except
+orbit counting by breadth-first closure, a brute stabilizer search, the
+plain minimum over relabelings of kernel tables, and a fraction-free
+determinant.  None of it imports the package, except
 ``brute_reduction_outcomes``, which replays the public ``reduce`` on every
 (functional, coordinate) pair as the slow reference for ``list_reductions``.
 """
@@ -214,6 +215,16 @@ def brute_stabilizer_order(n: int, elements, table: dict[int, int]) -> int:
                 count += 1
                 break
     return count
+
+
+def brute_canonical(tab, ranks) -> tuple:
+    """Least relabeling of reduced ranks, built in full for every
+    support-preserving permutation of the kernel tables tab (a relabeled
+    position j is red[j][image[ranks[inv[j]]]]), with no early exit.
+    """
+    red = tab.red
+    return min(tuple(red[j][image[ranks[inv[j]]]] for j in range(len(ranks)))
+               for inv, image in tab.perms)
 
 
 # ---------------------------------------------------------------------------

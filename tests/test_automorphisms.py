@@ -26,8 +26,10 @@ def test_didicosm_report():
 
 
 def test_out_order_is_multiplicative_in_parts():
-    for n in (2, 3, 4):
-        for e in cached_census(n).entries:
+    # The census takes its stabilizer from the walk; out_order counts it
+    # again. Every entry up to dim 5, every 25th of dim 6.
+    for n in (2, 3, 4, 5, 6):
+        for e in cached_census(n).entries[::25 if n == 6 else 1]:
             r = out_order(e.presentation)
             assert r.out_order == r.h1_order * r.n_alpha_quotient_order
             assert r.n_alpha_quotient_order % r.perm_stabilizer_order == 0

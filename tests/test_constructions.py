@@ -131,10 +131,15 @@ class TestListReductions:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_reduce_oracle(self, n):
-        # every entry up to dim 5, every 25th of dim 6
+        # every entry up to dim 5, every 25th of dim 6; one key memo shared
+        # across the dimension, as build_graph shares it
+        keys = {}
         for e in cached_census(n).entries[::25 if n == 6 else 1]:
             p = e.presentation
-            assert list_reductions(p) == brute_list_reductions(p)
+            want = brute_list_reductions(p)
+            assert list_reductions(p) == want
+            assert list_reductions(p, keys) == want
+        assert keys
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_blocked_is_invalid_choice(self, n):
@@ -151,6 +156,23 @@ class TestListReductions:
             outcomes = brute_reduction_outcomes(p)
             assert skipped == {fc for fc, out in outcomes.items()
                                if out is InvalidChoice}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_collapse_is_not_ghw(self, n):
+        # the unblocked pairs list_reductions skips because e_c lies in
+        # ker f are exactly those where reduce raises ReductionNotGhw
+        for e in cached_census(n).entries[::25 if n == 6 else 1]:
+            p = e.presentation
+            skipped = set()
+            for f in range(1, 1 << n):
+                if f < f ^ p.support_mask:
+                    members, blocked = _kernel_cut(p, f)
+                    skipped |= {(f, c) for c in range(1, n + 1)
+                                if not blocked >> (c - 1) & 1
+                                and 1 << (c - 1) in members}
+            outcomes = brute_reduction_outcomes(p)
+            assert skipped == {fc for fc, out in outcomes.items()
+                               if out is ReductionNotGhw}
 
     def test_dim2_refuses(self):
         with pytest.raises(ValueError):

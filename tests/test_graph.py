@@ -114,6 +114,11 @@ def test_dot_export_shape():
     assert dot.count("--") == 3
 
 
+def test_edges_json_repeats_in_one_process(graph5):
+    # each build keeps its own key memo; a second build gives the same bytes
+    assert edges_json(build_graph(5)) == edges_json(graph5)
+
+
 def test_edges_json_schema(graph4):
     rows = json.loads(edges_json(graph4))
     assert len(rows) == len(graph4.edges)

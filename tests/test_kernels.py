@@ -19,7 +19,9 @@ from ghw._kernels import (
 )
 from ghw.automorphisms import normalizer_stabilizer_order
 from ghw.core import GhwPresentation, apply_coboundary, permute_coordinates
-from ghw.enumerate import cached_census
+from ghw.enumerate import cached_census, canonical_key
+
+from oracles import brute_canonical, brute_stabilizer_order
 
 CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
 
@@ -51,9 +53,11 @@ def test_orbit_stabilizer_checksum(n, k):
     order = factorial(k) * factorial(n - k)
     tab = build_tables(n, k)
     orbits = 0
-    for cols in census_leaves(n, k):
-        stab = normalizer_stabilizer_order(
-            GhwPresentation.from_columns(n, tab.H, cols))
+    for cols, stab in census_leaves(n, k):
+        p = GhwPresentation.from_columns(n, tab.H, cols)
+        assert stab == normalizer_stabilizer_order(p)
+        if n <= 4:
+            assert stab == brute_stabilizer_order(n, p.elements, p.s_by_mask)
         assert order % stab == 0
         orbits += order // stab
     tuples = count_torsion_free_tuples(n, k)
@@ -63,12 +67,12 @@ def test_orbit_stabilizer_checksum(n, k):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n, k in CELLS if n <= 5])
 def test_canonicalize_fixes_leaves(n, k):
-    leaves = census_leaves(n, k)
+    leaves = [cols for cols, _ in census_leaves(n, k)]
     assert canonicalize_batch(n, k, leaves) == leaves
 
 
 def test_leaves_sorted_unique():
-    rows = census_leaves(4, 1)
+    rows = [cols for cols, _ in census_leaves(4, 1)]
     assert rows == sorted(set(rows))
 
 
@@ -121,6 +125,23 @@ def test_normalized_ranks_matches_permuted_presentation(n):
             want_tab, want = _permuted_route(p)
             assert tab is want_tab
             assert ranks == want, (e.key_hex, p)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_canonical_matches_brute_minimum(n):
+    # The early-exit canonical against the plain minimum over every
+    # relabeling, on census entries and on one scramble of each.
+    rng = random.Random(5000 + n)
+    entries = cached_census(n).entries
+    if n == 6:
+        entries = entries[::25]
+    for e in entries:
+        q = _full_scramble(rng, e.presentation)
+        for p in (e.presentation, q):
+            tab, ranks = normalized_ranks(p)
+            assert _kernels.canonical(tab, ranks) == brute_canonical(
+                tab, ranks), (e.key_hex, p)
+        assert canonical_key(q) == e.key
 
 
 def test_kernel_imports_no_package_module():
