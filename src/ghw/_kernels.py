@@ -8,6 +8,10 @@ codes; the kernel holds a column as its rank among them, and ranks compare
 the way codes do. Column codes are Python ints, so every dimension runs the
 same pure-Python code.
 
+A cocycle enters as its half-step functionals: column c is the character
+of one mask, which functional_ranks maps to its rank through one table per
+(dimension, support), so no element of H is scanned.
+
 The permutation primitive is compare: it relabels reduced ranks one position
 at a time and stops at the first position that differs from a reference.
 The census walk compares each candidate prefix with itself, and counts the
@@ -48,10 +52,7 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
       colfix     per coordinate, bitset of elements fixing it
       needcheck  per coordinate, elements whose last fixed coordinate it is
       cands      per coordinate, sorted reduced ranks
-      basis      a basis of H: the masks {a, a+1} for a + 1 < k, then {a}
-                 for a >= k
-      dual       per basis element, the code of the character that is 1 on
-                 it and 0 on the rest of the basis
+      mask_rank  per mask m of n bits, the rank of m's character on H
       perms      support-preserving coordinate permutations as
                  (inv, image): new coordinate j takes old coordinate
                  inv[j], and image[r] is the rank of character r relabeled
@@ -104,17 +105,11 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
         tuple(p for p in perms if all(i <= d for i in p[0][:d + 1]))
         for d in range(n)
     ]
-    index = {h: t for t, h in enumerate(H)}
-    basis = [3 << a for a in range(k - 1)] + [1 << a for a in range(k, n)]
-    dual = [next(c for c in codes
-                 if all((c >> index[b] & 1) == (b == d) for b in basis))
-            for d in basis]
     return SimpleNamespace(
         n=n, k=k, T=T, H=tuple(H), codes=tuple(codes), rank=rank,
         red=tuple(red), colfix=tuple(colfix), needcheck=tuple(needcheck),
         cands=tuple(tuple(sorted(set(r))) for r in red),
-        basis=tuple(basis), dual=tuple(dual),
-        perms=tuple(perms), stab=tuple(stab),
+        mask_rank=tuple(mask_rank), perms=tuple(perms), stab=tuple(stab),
     )
 
 
@@ -175,35 +170,44 @@ def to_codes(tab, ranks) -> tuple[int, ...]:
     return tuple(tab.codes[r] for r in ranks)
 
 
-def table_ranks(n: int, support_mask: int, s_by_mask):
-    """Tables for the support size and the reduced column ranks of a cocycle
-    table, after its support is moved onto {1..k}.
+def cocycle_functionals(p) -> list[int]:
+    """Per coordinate c, a mask lam[c] whose parity against each m of H is
+    bit c of p.s_by_mask[m], with its lowest support bit clear.
 
-    s_by_mask maps each element mask of H (the even-parity masks of
-    support_mask) to its halves mask, linearly. The normalizing order takes
-    the support coordinates, then the rest, each in increasing order, as
-    core._support_alignment does: new coordinate j is old coordinate
-    src[j]. New column j is a character of H, so it is the sum of the dual
-    codes of the basis elements whose old mask has bit src[j] set in s.
+    The table is linear on H, so it is read on a basis of H: e_j off the
+    support, and e_j + e_low for each other support coordinate j.
     """
+    sigma = p.support_mask
+    low = sigma & -sigma
+    vals = [p.s_by_mask[1 << j ^ (low if sigma >> j & 1 else 0)]
+            for j in range(p.n)]
+    return [sum((v >> c & 1) << j for j, v in enumerate(vals))
+            for c in range(p.n)]
+
+
+@lru_cache(maxsize=None)
+def _support_ranks(n: int, support_mask: int):
+    """Tables, the order src (the support, then the rest, each increasing,
+    as in core._support_alignment) and, per mask m, mask_rank of m with
+    each bit src[j] moved to bit j."""
     tab = build_tables(n, support_mask.bit_count())
-    src = ([i for i in range(n) if support_mask >> i & 1]
-           + [i for i in range(n) if not support_mask >> i & 1])
-    vals = [s_by_mask[sum(1 << src[j] for j in range(n) if b >> j & 1)]
-            for b in tab.basis]
-    cols = []
-    for i in src:
-        col = 0
-        for d, v in zip(tab.dual, vals):
-            if v >> i & 1:
-                col ^= d
-        cols.append(col)
-    return tab, reduced(tab, cols)
+    src = sorted(range(n), key=lambda i: (not support_mask >> i & 1, i))
+    img = [0]
+    for i in range(n):
+        img += [x | 1 << src.index(i) for x in img]
+    return tab, src, tuple([tab.mask_rank[x] for x in img])
+
+
+def functional_ranks(n: int, support_mask: int, lams):
+    """Tables and reduced column ranks of the table with half-step
+    functionals lams, its support moved onto {1..k}."""
+    tab, src, ranks = _support_ranks(n, support_mask)
+    return tab, tuple([tab.red[j][ranks[lams[i]]] for j, i in enumerate(src)])
 
 
 def normalized_ranks(p):
-    """table_ranks of a presentation's own cocycle table."""
-    return table_ranks(p.n, p.support_mask, p.s_by_mask)
+    """functional_ranks of a presentation's own cocycle table."""
+    return functional_ranks(p.n, p.support_mask, cocycle_functionals(p))
 
 
 def census_leaves(n: int, k: int, deadline: float | None = None):

@@ -373,15 +373,17 @@ class ReductionChoice:
     key: bytes
 
 
-def _kernel_cut(p: GhwPresentation, f: int) -> tuple[list[int], int]:
-    """Members of ker f on H, and the mask of coordinates i + 1 where a
-    member fixing i + 1 carries a half step: reduce's InvalidChoice test.
-    """
-    members = [m for m in p.elements if not (m & f).bit_count() & 1]
-    blocked = 0
-    for m in members:
-        blocked |= p.s_by_mask[m] & ~m
-    return members, blocked
+def _unblocked_pairs(n: int, sigma: int, lams):
+    """The (f, c) pairs list_reductions keys, f < f ^ sigma, c from 0."""
+    every = [f for f in range(1, 1 << n) if f < f ^ sigma]
+    for c in range(n):
+        bit = 1 << c
+        lam = lams[c]
+        if lam in (0, sigma) or lam ^ bit in (0, sigma):
+            fs = every
+        else:
+            fs = {min(g, g ^ sigma) for g in (lam, lam ^ bit)}
+        yield from ((f, c) for f in fs if (sigma | f) & bit)
 
 
 def list_reductions(
@@ -389,24 +391,26 @@ def list_reductions(
 ) -> tuple[ReductionChoice, ...]:
     """Enumerate every admissible one-step reduction of p.
 
-    Functionals f are scanned modulo the support annihilator sigma (it acts
-    trivially on the holonomy), using the smaller of f and f ^ sigma. Each
-    functional's kernel and blocked mask are computed once. Coordinate c is
-    skipped when it is blocked (reduce raises InvalidChoice) or when the
-    unit vector e_c lies in ker f, where dropping c collapses the holonomy
-    (reduce raises ReductionNotGhw).
+    Functionals f are taken modulo the support annihilator sigma (it acts
+    trivially on the holonomy), using the smaller of f and f ^ sigma. The
+    map m -> bit c of s[m] is linear on H: lam_c (cocycle_functionals).
+    Coordinate c is skipped when e_c lies in ker f, where dropping c
+    collapses the holonomy (reduce raises ReductionNotGhw), or when it is
+    blocked (reduce raises InvalidChoice): some m in K = ker f on H has
+    lam_c(m) = 1 and m_c = 0. Two linear forms on K take the values (1, 0)
+    somewhere unless the first is 0 or equals the second, so c is unblocked
+    iff lam_c on H is 0 or e_c (every f), or f is lam_c or lam_c ^ e_c
+    modulo sigma (the f whose kernel is that form's); only those are tried.
 
-    Every other pair gives a GHW group, built on the cocycle table alone,
-    with no torsion search. Dropping c is injective on ker f, since only
-    e_c could collapse, so the dropped members form an index-two subgroup
-    one dimension down. A member keeps its fixed coordinates other than c,
-    each with its half step. As c is unblocked, a member fixing c carries
-    no half step there, so the fixed coordinate with a half step that makes
-    each member torsion-free lies outside c and survives the drop. A
-    torsion-free span misses the all-flip element, so the reduced support
-    has odd size. That support is the drop of the one element of
-    {sigma, f, f ^ sigma} whose bit c is clear: the nonzero functional
-    vanishing on the dropped members.
+    Each tried pair gives a GHW group. Dropping c is injective on K, since
+    only e_c could collapse, so the dropped members form an index-two
+    subgroup one dimension down. A member fixing c carries no half step
+    there, so each member's fixed coordinate with a half step survives the
+    drop: the result is torsion-free, its span misses the all-flip element
+    and its support has odd size. That support is the drop of g, the one
+    element of {sigma, f, f ^ sigma} whose bit c is clear. All three vanish
+    on K, so lam_i plus one with bit c set, h, when lam_i has bit c, drops
+    to the reduced table's functional.
 
     _keys memoizes the key of each normalized reduced table by
     (dimension, support size, ranks); build_graph passes one dict per build.
@@ -417,32 +421,28 @@ def list_reductions(
     if n < 3:
         raise ValueError("cannot reduce below dimension 2")
     keys = {} if _keys is None else _keys
-    s = p.s_by_mask
     sigma = p.support_mask
-    full = (1 << (n - 1)) - 1
+    lams = _kernels.cocycle_functionals(p)
     out = []
-    for f in range(1, 1 << n):
-        if f >= f ^ sigma:
-            continue
-        members, blocked = _kernel_cut(p, f)
-        for c in range(n):
-            bit = 1 << c
-            # e_c lies in ker f exactly when c is outside sigma and f.
-            if blocked & bit or not (sigma | f) & bit:
-                continue
-            low = bit - 1
-            table = {_drop(m, low): _drop(s[m], low) for m in members}
-            support = _drop(next(g for g in (sigma, f, f ^ sigma)
-                                 if not g & bit), low)
-            tab, ranks = _kernels.table_ranks(n - 1, support, table)
-            memo = (n - 1, tab.k, ranks)
-            key = keys.get(memo)
-            if key is None:
-                assert support.bit_count() & 1, "reduced support is even"
-                assert all(~m & full & v for m, v in table.items() if m), (
-                    "unblocked reduction has torsion")
-                key = keys[memo] = _canonical_bytes(tab, ranks)
-            out.append(ReductionChoice(f, c + 1, key))
+    for f, c in _unblocked_pairs(n, sigma, lams):
+        bit = 1 << c
+        low = bit - 1
+        g, h = ((sigma, f) if not sigma & bit
+                else (f, sigma) if not f & bit else (f ^ sigma, sigma))
+        support = _drop(g, low)
+        tab, ranks = _kernels.functional_ranks(n - 1, support, [
+            _drop(lam ^ h if lam & bit else lam, low)
+            for i, lam in enumerate(lams) if i != c])
+        memo = (n - 1, tab.k, ranks)
+        key = keys.get(memo)
+        if key is None:
+            assert support.bit_count() & 1, "reduced support is even"
+            table = {_drop(m, low): _drop(p.s_by_mask[m], low)
+                     for m in p.elements if not (m & f).bit_count() & 1}
+            assert all(~m & v for m, v in table.items() if m), (
+                "unblocked reduction has torsion")
+            key = keys[memo] = _canonical_bytes(tab, ranks)
+        out.append(ReductionChoice(f, c + 1, key))
     return tuple(sorted(out))
 
 

@@ -208,17 +208,12 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
 
 
 def _witness_is_normal(entry, choice: ReductionChoice) -> bool:
-    """Whether the witnessed subgroup is normal in the upper group.
-
-    Normal iff no member of the index-two subgroup flips the deleted
-    coordinate; any flipping member conjugated by the unit translation
-    of that coordinate gains a full step there and leaves the subgroup.
+    """Edge.normal: no member of ker f on H flips c, that is, e_c vanishes
+    on ker f, so e_c is one of sigma, f, f ^ sigma.
     """
-    bit = 1 << (choice.coordinate - 1)
-    for m in entry.presentation.elements:
-        if (m & choice.functional).bit_count() % 2 == 0 and m & bit:
-            return False
-    return True
+    sigma = entry.presentation.support_mask
+    f = choice.functional
+    return 1 << (choice.coordinate - 1) in (sigma, f, f ^ sigma)
 
 
 def dot_export(graph: GhwGraph) -> str:

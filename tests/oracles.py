@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch: plain-int affine
 arithmetic (translations doubled so halves stay exact), a bounded order
 search over a lattice window, a from-first-principles enumerator with
 orbit counting by breadth-first closure, a brute stabilizer search, the
-plain minimum over relabelings of kernel tables, and a fraction-free
-determinant.  None of it imports the package, except
+plain minimum over relabelings of kernel tables, a scan of ker f for the
+blocked coordinates and normal witnesses of a reduction, and a
+fraction-free determinant.  None of it imports the package, except
 ``brute_reduction_outcomes``, which replays the public ``reduce`` on every
 (functional, coordinate) pair as the slow reference for ``list_reductions``.
 """
@@ -297,6 +298,24 @@ def brute_annihilators(n: int, masks) -> list[int]:
     masks = list(masks)
     return [sigma for sigma in range(1, 1 << n)
             if all(bin(sigma & m).count("1") % 2 == 0 for m in masks)]
+
+
+def kernel_cut(p, f: int) -> tuple[list[int], int]:
+    """Members of ker f on H, by a scan of every element, and the mask of
+    coordinates i + 1 where a member fixing i + 1 carries a half step:
+    reduce's InvalidChoice test.
+    """
+    members = [m for m in p.elements if bin(m & f).count("1") % 2 == 0]
+    blocked = 0
+    for m in members:
+        blocked |= p.s_by_mask[m] & ~m
+    return members, blocked
+
+
+def brute_witness_is_normal(p, f: int, c: int) -> bool:
+    """No member of ker f on H flips coordinate c (from 1), by a scan."""
+    members, _ = kernel_cut(p, f)
+    return not any(m >> (c - 1) & 1 for m in members)
 
 
 def brute_reduction_outcomes(p) -> dict:

@@ -4,6 +4,7 @@ import pytest
 
 from ghw.core import (
     GhwPresentation,
+    apply_coboundary,
     parse_group,
     permute_coordinates,
     validate_ghw,
@@ -28,10 +29,11 @@ from ghw.constructions import (
     realize_representation,
     reduce,
     semidirect_minus_id,
-    _kernel_cut,
+    _unblocked_pairs,
 )
+from ghw._kernels import cocycle_functionals
 
-from oracles import brute_list_reductions, brute_reduction_outcomes
+from oracles import brute_list_reductions, brute_reduction_outcomes, kernel_cut
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 KLEIN_KEY = bytes.fromhex("02010200")
@@ -129,13 +131,20 @@ class TestListReductions:
         for e in cached_census(4).entries:
             assert list_reductions(e.presentation)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_reduce_oracle(self, n):
-        # every entry up to dim 5, every 25th of dim 6; one key memo shared
-        # across the dimension, as build_graph shares it
+        # every entry up to dim 5, every 25th of dim 6; above the census,
+        # the two named families and a lift of every 150th dim-6 entry; one
+        # key memo shared across the dimension, as build_graph shares it
+        if n == 7:
+            groups = [klein_group(7), gamma_group(7)] + [
+                embed_up_exist(e.presentation)
+                for e in cached_census(6).entries[::150]]
+        else:
+            groups = [e.presentation
+                      for e in cached_census(n).entries[::25 if n == 6 else 1]]
         keys = {}
-        for e in cached_census(n).entries[::25 if n == 6 else 1]:
-            p = e.presentation
+        for p in groups:
             want = brute_list_reductions(p)
             assert list_reductions(p) == want
             assert list_reductions(p, keys) == want
@@ -150,7 +159,7 @@ class TestListReductions:
             skipped = set()
             for f in range(1, 1 << n):
                 if f < f ^ p.support_mask:
-                    _, blocked = _kernel_cut(p, f)
+                    _, blocked = kernel_cut(p, f)
                     skipped |= {(f, c) for c in range(1, n + 1)
                                 if blocked >> (c - 1) & 1}
             outcomes = brute_reduction_outcomes(p)
@@ -166,13 +175,36 @@ class TestListReductions:
             skipped = set()
             for f in range(1, 1 << n):
                 if f < f ^ p.support_mask:
-                    members, blocked = _kernel_cut(p, f)
+                    members, blocked = kernel_cut(p, f)
                     skipped |= {(f, c) for c in range(1, n + 1)
                                 if not blocked >> (c - 1) & 1
                                 and 1 << (c - 1) in members}
             outcomes = brute_reduction_outcomes(p)
             assert skipped == {fc for fc, out in outcomes.items()
                                if out is ReductionNotGhw}
+
+    @pytest.mark.parametrize("n,every_f", [(3, 1), (4, 2), (5, 8), (6, 3)])
+    def test_tried_pairs_are_the_successes(self, n, every_f):
+        # the pairs read off the half-step functionals are exactly those
+        # where reduce succeeds, on each entry and on its shift by the full
+        # coboundary (which swaps a column 0 on H with e_c); every_f counts
+        # the entries' coordinates whose column is 0 or e_c on H (found by a
+        # scan), where every functional is tried
+        reached = 0
+        for e in cached_census(n).entries[::25 if n == 6 else 1]:
+            for p in (e.presentation,
+                      apply_coboundary(e.presentation, (1 << n) - 1)):
+                s = p.s_by_mask
+                tried = {(f, c + 1) for f, c in _unblocked_pairs(
+                    n, p.support_mask, cocycle_functionals(p))}
+                outcomes = brute_reduction_outcomes(p)
+                assert tried == {fc for fc, out in outcomes.items()
+                                 if isinstance(out, bytes)}
+                reached += sum(
+                    all(not s[m] >> c & 1 for m in p.elements)
+                    or all(not (s[m] ^ m) >> c & 1 for m in p.elements)
+                    for c in range(n))
+        assert reached == 2 * every_f
 
     def test_dim2_refuses(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ from ghw.graph import (
     edges_json,
 )
 
+from oracles import brute_witness_is_normal
+
 KLEIN_KEY = bytes.fromhex("02010200")
 DIDICOSM_KEY = bytes.fromhex("03030a0606")
 
@@ -95,6 +97,21 @@ def test_edge_normality_flags(graph5):
     k3 = canonical_key(klein_group(3))
     assert by_pair[(k3, KLEIN_KEY)].normal
     assert not by_pair[(DIDICOSM_KEY, KLEIN_KEY)].normal
+
+
+def test_edge_normality_matches_member_scan():
+    # the O(1) rule e_c in {sigma, f, f ^ sigma} against a scan of ker f,
+    # on every edge of dims 3-6
+    g = build_graph(6, long_mode=True)
+    upper = {x.key: x.presentation
+             for c in g.censuses.values() for x in c.entries}
+    normal = 0
+    for e in g.edges:
+        w = e.witness
+        assert e.normal == brute_witness_is_normal(
+            upper[e.upper], w.functional, w.coordinate)
+        normal += e.normal
+    assert (len(g.edges), normal) == (14_973, 2_367)
 
 
 def test_edges_link_adjacent_dimensions(graph5):
