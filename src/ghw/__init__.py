@@ -9,7 +9,6 @@ construction toolbox moves presentations between dimensions.
 
 from .automorphisms import OutReport, normalizer_stabilizer_order, out_order
 from .cohomology import (
-    InfiniteH1,
     SnfResult,
     h1_closed_form,
     h1_order,

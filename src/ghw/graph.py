@@ -8,7 +8,6 @@ deterministic byte-for-byte.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -246,17 +245,28 @@ def dot_export(graph: GhwGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EDGE_ROW = """  {
+    "from": "%s",
+    "to": "%s",
+    "witness": {
+      "functional": %d,
+      "coordinate": %d,
+      "normal": %s
+    }
+  }"""
+
+
 def edges_json(graph: GhwGraph) -> str:
-    """JSON edge list with per-edge witnesses, deterministic order."""
-    rows = []
-    for e in sorted(graph.edges, key=lambda e: (e.upper, e.lower)):
-        rows.append({
-            "from": e.upper.hex(),
-            "to": e.lower.hex(),
-            "witness": {
-                "functional": e.witness.functional,
-                "coordinate": e.witness.coordinate,
-                "normal": e.normal,
-            },
-        })
-    return json.dumps(rows, indent=2) + "\n"
+    """JSON edge list with per-edge witnesses, deterministic order.
+
+    The bytes are those of json.dumps(rows, indent=2) plus a newline,
+    written row by row from one template.
+    """
+    rows = [
+        _EDGE_ROW % (e.upper.hex(), e.lower.hex(), e.witness.functional,
+                     e.witness.coordinate, "true" if e.normal else "false")
+        for e in sorted(graph.edges, key=lambda e: (e.upper, e.lower))
+    ]
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(rows) + "\n]\n"

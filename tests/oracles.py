@@ -8,7 +8,11 @@ plain minimum over relabelings of kernel tables, a scan of ker f for the
 blocked coordinates and normal witnesses of a reduction, and a
 fraction-free determinant.  None of it imports the package, except
 ``brute_reduction_outcomes``, which replays the public ``reduce`` on every
-(functional, coordinate) pair as the slow reference for ``list_reductions``.
+(functional, coordinate) pair as the slow reference for ``list_reductions``;
+``brute_h1_order``, which computes |H^1| through the package's integer
+Smith normal form (itself checked by ``check_snf``) as the reference for
+the closed form; and ``reference_edges_json``, the ``json.dumps`` rendering
+of a graph's edge list.
 """
 
 from __future__ import annotations
@@ -289,6 +293,59 @@ def check_snf(matrix, diagonal, left, right) -> None:
             assert diagonal[i] != 0 and diagonal[i + 1] % diagonal[i] == 0
 
 
+@lru_cache(maxsize=None)
+def brute_h1_order(n: int, masks: tuple[int, ...]) -> int:
+    """|H^1(G, Z^n)| for the diagonal action with generator flip masks, by
+    Smith reduction: crossed homomorphisms are the integer kernel of the
+    squaring and commutation equations, principal ones the image of
+    w -> ((I - R_j) w)_j, and the order is the product of the elementary
+    divisors of that inclusion. Asserts that H^1 has no free part.
+
+    Memoized: census entries of one support share their mask tuple.
+    """
+    from ghw.cohomology import kernel_basis, smith_normal_form, solve_integer
+
+    g = len(masks)
+    size = g * n
+
+    def sgn(mask, i):
+        return -1 if mask >> i & 1 else 1
+
+    rows = []
+    for j, mj in enumerate(masks):
+        # (I + R_j) v_j = 0: the generator squares into the lattice.
+        for i in range(n):
+            row = [0] * size
+            row[j * n + i] = 1 + sgn(mj, i)
+            rows.append(row)
+    for a in range(g):
+        for b in range(a + 1, g):
+            # commutation: (I - R_b) v_a = (I - R_a) v_b
+            for i in range(n):
+                row = [0] * size
+                row[a * n + i] += 1 - sgn(masks[b], i)
+                row[b * n + i] -= 1 - sgn(masks[a], i)
+                rows.append(row)
+    cocycles = kernel_basis(rows)
+    z = len(cocycles)
+    if z == 0:
+        return 1
+    # Principal crossed homomorphisms: w -> ((I - R_j) w)_j, w over unit vectors.
+    boundary = [[0] * n for _ in range(size)]
+    for j, mj in enumerate(masks):
+        for i in range(n):
+            boundary[j * n + i][i] = 1 - sgn(mj, i)
+    basis_matrix = [[vec[r] for vec in cocycles] for r in range(size)]
+    coords = solve_integer(basis_matrix, boundary)
+    assert coords is not None, "principal cocycles left the cocycle lattice"
+    res = smith_normal_form(coords)
+    assert res.rank == z, "free part in H^1"
+    order = 1
+    for d in res.diagonal:
+        order *= d
+    return order
+
+
 # ---------------------------------------------------------------------------
 # support annihilators and reductions
 
@@ -349,3 +406,26 @@ def brute_list_reductions(p) -> tuple:
         for (f, c), key in brute_reduction_outcomes(p).items()
         if isinstance(key, bytes)
     ))
+
+
+# ---------------------------------------------------------------------------
+# graph export
+
+
+def reference_edges_json(graph) -> str:
+    """The edge list as json.dumps(rows, indent=2), the bytes edges_json
+    must write."""
+    import json
+
+    rows = []
+    for e in sorted(graph.edges, key=lambda e: (e.upper, e.lower)):
+        rows.append({
+            "from": e.upper.hex(),
+            "to": e.lower.hex(),
+            "witness": {
+                "functional": e.witness.functional,
+                "coordinate": e.witness.coordinate,
+                "normal": e.normal,
+            },
+        })
+    return json.dumps(rows, indent=2) + "\n"

@@ -20,7 +20,12 @@ from ghw.constructions import (
     klein_group,
     reduce,
 )
-from ghw.core import apply_coboundary, is_torsion_free, permute_coordinates
+from ghw.core import (
+    apply_coboundary,
+    format_group,
+    is_torsion_free,
+    permute_coordinates,
+)
 from ghw.enumerate import (
     BudgetExhausted,
     cached_census,
@@ -33,6 +38,7 @@ from ghw.homology import betti_vector, is_rational_homology_sphere
 
 from oracles import (
     brute_census_counts,
+    brute_h1_order,
     check_snf,
     table_is_torsion_free,
 )
@@ -94,11 +100,27 @@ def test_criterion_4_out_orders_and_bounds():
 
 
 def test_criterion_5_h1_snf_equals_closed_form():
-    for n in range(2, 6):
-        for e in cached_census(n).entries:
-            closed = 1 << (n - e.beta1)
-            assert h1_order(e.presentation) == closed, e.key_hex
-            assert h1_closed_form(e.presentation) == closed, e.key_hex
+    # |H^1| = 2^(n - b1) from h1_order, checked against the Smith-reduction
+    # oracle on every entry of dims 2-6, on one random scramble of every
+    # entry of dims 2-5 and of every 10th of dim 6, on embed_up_exist lifts
+    # of 20 dim-6 entries into dim 7, and on the dim-7 Klein and gamma groups
+    rng = random.Random(20260815)
+    groups = []
+    for n in range(2, 7):
+        for i, e in enumerate(cached_census(n).entries):
+            assert e.h1_order == 1 << (n - e.beta1), e.key_hex
+            groups.append(e.presentation)
+            if n < 6 or i % 10 == 0:
+                groups.append(_scramble(rng, e.presentation, range(1, n + 1)))
+    dim6 = cached_census(6).entries
+    groups += [embed_up_exist(e.presentation)
+               for e in dim6[::len(dim6) // 20][:20]]
+    groups += [klein_group(7), gamma_group(7)]
+    for p in groups:
+        want = brute_h1_order(p.n, tuple(sv.flips for sv, _ in p.gens))
+        assert h1_order(p) == want, format_group(p)
+        assert h1_closed_form(p) == want, format_group(p)
+    assert sum(p.n == 7 for p in groups) == 22
 
 
 def test_criterion_6_betti_vectors():

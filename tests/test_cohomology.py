@@ -9,11 +9,16 @@ from ghw.cohomology import (
     smith_normal_form,
     solve_integer,
 )
-from ghw.core import parse_group
+from ghw.core import (
+    InvalidPresentation,
+    apply_coboundary,
+    parse_group,
+    permute_coordinates,
+)
 from ghw.enumerate import cached_census
 from ghw.constructions import klein_group
 
-from oracles import check_snf, det_bareiss
+from oracles import brute_h1_order, check_snf, det_bareiss
 
 
 class TestSmithNormalForm:
@@ -116,9 +121,26 @@ class TestH1:
     def test_k3(self):
         assert h1_order(klein_group(3)) == 4
 
+    def test_invalid_rejected(self):
+        p = parse_group("dim=2; gens=-+:H0")
+        with pytest.raises(InvalidPresentation):
+            h1_order(p)
+        with pytest.raises(InvalidPresentation):
+            h1_closed_form(p)
+
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_snf_matches_closed_form(self, n):
+        # the closed form against the Smith-reduction oracle, on every
+        # census entry and on one random scramble of it
+        rng = random.Random(n)
         for e in cached_census(n).entries:
             p = e.presentation
-            assert h1_order(p) == h1_closed_form(p)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            q = apply_coboundary(permute_coordinates(p, tuple(perm)),
+                                 rng.randrange(1 << n))
+            for x in (p, q):
+                want = brute_h1_order(n, tuple(sv.flips for sv, _ in x.gens))
+                assert h1_order(x) == want, e.key_hex
+                assert h1_closed_form(x) == want, e.key_hex
             assert e.h1_order == h1_order(p)

@@ -10,7 +10,7 @@ from ghw.graph import (
     edges_json,
 )
 
-from oracles import brute_witness_is_normal
+from oracles import brute_witness_is_normal, reference_edges_json
 
 KLEIN_KEY = bytes.fromhex("02010200")
 DIDICOSM_KEY = bytes.fromhex("03030a0606")
@@ -24,6 +24,11 @@ def graph5():
 @pytest.fixture(scope="module")
 def graph4():
     return build_graph(4)
+
+
+@pytest.fixture(scope="module")
+def graph6():
+    return build_graph(6, long_mode=True)
 
 
 def test_vertex_counts(graph5):
@@ -99,10 +104,10 @@ def test_edge_normality_flags(graph5):
     assert not by_pair[(DIDICOSM_KEY, KLEIN_KEY)].normal
 
 
-def test_edge_normality_matches_member_scan():
+def test_edge_normality_matches_member_scan(graph6):
     # the O(1) rule e_c in {sigma, f, f ^ sigma} against a scan of ker f,
     # on every edge of dims 3-6
-    g = build_graph(6, long_mode=True)
+    g = graph6
     upper = {x.key: x.presentation
              for c in g.censuses.values() for x in c.entries}
     normal = 0
@@ -134,6 +139,13 @@ def test_dot_export_shape():
 def test_edges_json_repeats_in_one_process(graph5):
     # each build keeps its own key memo; a second build gives the same bytes
     assert edges_json(build_graph(5)) == edges_json(graph5)
+
+
+def test_edges_json_matches_json_dumps(graph5, graph6):
+    # the row template writes the bytes of json.dumps(rows, indent=2)
+    for g in (graph5, graph6, build_graph(2)):
+        assert edges_json(g) == reference_edges_json(g)
+    assert edges_json(build_graph(2)) == "[]\n"
 
 
 def test_edges_json_schema(graph4):
