@@ -12,14 +12,15 @@ A cocycle enters as its half-step functionals: column c is the character
 of one mask, which functional_ranks maps to its rank through one table per
 (dimension, support), so no element of H is scanned.
 
-The permutation primitive is compare: it relabels reduced ranks one position
-at a time and stops at the first position that differs from a reference.
-The census walk compares each candidate prefix with itself, and counts the
-leaf's stabilizer on the way; canonical compares with its best candidate so
-far and builds a new best through relabel; stabilizer_order counts the
-permutations that compare equal. No table is precomposed per permutation,
-so a key one dimension above the census cap costs no more memory than the
-permutation list itself.
+The permutation primitive is least: it relabels reduced ranks by a list of
+permutations one position at a time, keeps at each position only the
+permutations that reach the least value there, and returns the least
+relabeling with the number of permutations that reach it. canonical is its
+tuple and stabilizer_order its count; the census walk checks each prefix
+against itself with it, cuts the subtree when something is smaller, and
+reads the leaf's stabilizer from the count. No table is precomposed per
+permutation, so a key one dimension above the census cap costs no more
+memory than the permutation list itself.
 """
 
 from __future__ import annotations
@@ -101,46 +102,50 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
             for j, c in enumerate(dst):
                 inv[c] = j
             perms.append((tuple(inv), tuple([mask_rank[img[m]] for m in rep])))
-    stab = [
-        tuple(p for p in perms if all(i <= d for i in p[0][:d + 1]))
-        for d in range(n)
-    ]
+    # p maps {0..d} onto itself iff the largest of inv[:d+1] is d.
+    stab = [[] for _ in range(n)]
+    for p in perms:
+        top = -1
+        for d, i in enumerate(p[0]):
+            if i > top:
+                top = i
+            if top == d:
+                stab[d].append(p)
     return SimpleNamespace(
         n=n, k=k, T=T, H=tuple(H), codes=tuple(codes), rank=rank,
         red=tuple(red), colfix=tuple(colfix), needcheck=tuple(needcheck),
         cands=tuple(tuple(sorted(set(r))) for r in red),
-        mask_rank=tuple(mask_rank), perms=tuple(perms), stab=tuple(stab),
+        mask_rank=tuple(mask_rank), perms=tuple(perms),
+        stab=tuple(map(tuple, stab)),
     )
 
 
-def relabel(tab, perm, ranks) -> tuple[int, ...]:
-    """Reduced ranks after relabeling by perm.
+def least(tab, perms, ranks, ref=None):
+    """The permutation primitive: the least relabeling of ranks over perms,
+    as (tuple, number of perms that give it).
 
-    ranks may be a prefix of length d+1 when perm maps {0..d} onto itself.
-    Only canonical calls it, to build a new least candidate in full.
+    Position j of a relabeling is red[j][image[ranks[inv[j]]]]. Each
+    position is computed for the surviving permutations only, and those
+    that miss its minimum are dropped. When perms is a group, the survivors
+    form a coset of the stabilizer of ranks, so the count is its order.
+    ranks may be a prefix of length d+1 when every perm maps {0..d} onto
+    itself. With ref, the result is None as soon as the least relabeling
+    falls below ref, which it does exactly when it is lexicographically
+    smaller; once it rises above ref, ref is no longer read.
     """
-    inv, image = perm
     red = tab.red
-    return tuple([red[j][image[ranks[inv[j]]]] for j in range(len(ranks))])
-
-
-def compare(tab, perm, ranks, ref) -> int:
-    """The permutation primitive: relabeled ranks against ref, lexicographic.
-
-    Position j of the relabeling is red[j][image[ranks[inv[j]]]]; the scan
-    stops at the first position that differs from ref and returns -1 or 1 as
-    the relabeling is smaller or larger there, or 0 when it equals ref on
-    all len(ref) positions. As for relabel, ranks and ref may be prefixes
-    of length d+1 when perm maps {0..d} onto itself. Nothing is precomposed
-    per permutation.
-    """
-    inv, image = perm
-    red = tab.red
-    for j, r in enumerate(ref):
-        v = red[j][image[ranks[inv[j]]]]
-        if v != r:
-            return -1 if v < r else 1
-    return 0
+    out = []
+    for j, rj in enumerate(red[:len(ranks)]):
+        vals = [rj[image[ranks[inv[j]]]] for inv, image in perms]
+        m = min(vals)
+        if ref is not None and m != ref[j]:
+            if m < ref[j]:
+                return None
+            ref = None
+        out.append(m)
+        if vals.count(m) < len(vals):
+            perms = [p for p, v in zip(perms, vals) if v == m]
+    return tuple(out), len(perms)
 
 
 def reduced(tab, cols) -> tuple[int, ...]:
@@ -149,21 +154,13 @@ def reduced(tab, cols) -> tuple[int, ...]:
 
 
 def canonical(tab, ranks) -> tuple[int, ...]:
-    """Lexicographically least relabeling of a reduced rank tuple.
-
-    The best candidate so far is kept; each permutation is dropped at its
-    first position that is larger than it.
-    """
-    best = ranks
-    for perm in tab.perms:
-        if compare(tab, perm, ranks, best) < 0:
-            best = relabel(tab, perm, ranks)
-    return best
+    """Lexicographically least relabeling of a reduced rank tuple."""
+    return least(tab, tab.perms, ranks)[0]
 
 
 def stabilizer_order(tab, ranks) -> int:
     """Number of support-preserving permutations fixing a reduced tuple."""
-    return sum(not compare(tab, perm, ranks, ranks) for perm in tab.perms)
+    return least(tab, tab.perms, ranks)[1]
 
 
 def to_codes(tab, ranks) -> tuple[int, ...]:
@@ -216,12 +213,11 @@ def census_leaves(n: int, k: int, deadline: float | None = None):
 
     Orderly generation: when a permutation mapping {0..d} onto itself makes
     the prefix of depth d lexicographically smaller, no completion of that
-    prefix is canonical, so its subtree is cut. Each permutation is compared
-    with the prefix through compare, one position at a time. At the last
-    depth that test is the full canonical test, and the permutations that
-    compare equal there are exactly the leaf's stabilizer. The deadline (a
-    time.monotonic value) is checked at every node; TimeoutError is raised
-    once it passes.
+    prefix is canonical, so its subtree is cut. least checks the prefix
+    against itself over those permutations. At the last depth that is the
+    full canonical test, and the permutations that reach the leaf are
+    exactly its stabilizer. The deadline (a time.monotonic value) is
+    checked at every node; TimeoutError is raised once it passes.
     """
     tab = build_tables(n, k)
     out = []
@@ -237,17 +233,13 @@ def census_leaves(n: int, k: int, deadline: float | None = None):
             if tab.needcheck[depth] & ~s2:
                 continue
             cur = prefix + (r,)
-            fixed = 0
-            for perm in stab:
-                c = compare(tab, perm, cur, cur)
-                if c < 0:
-                    break
-                fixed += not c
+            hit = least(tab, stab, cur, cur)
+            if hit is None:
+                continue
+            if leaf:
+                out.append((to_codes(tab, cur), hit[1]))
             else:
-                if leaf:
-                    out.append((to_codes(tab, cur), fixed))
-                else:
-                    walk(depth + 1, s2, cur)
+                walk(depth + 1, s2, cur)
 
     walk(0, 0, ())
     return out

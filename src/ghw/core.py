@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 # The largest dimension a group literal, a dimension flag or a census may
-# name. A key walks all k!(n-k)! support-preserving permutations of a
-# 2^(n-1)-entry table, so its cost grows about ninefold per dimension.
+# name. A key filters all k!(n-k)! support-preserving permutations of a
+# 2^(n-1)-entry table position by position (_kernels.least), so its first
+# position alone grows with the permutation count, up to 5,040 at n = 8.
 MAX_DIM = 8
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch: plain-int affine
 arithmetic (translations doubled so halves stay exact), a bounded order
 search over a lattice window, a from-first-principles enumerator with
 orbit counting by breadth-first closure, a brute stabilizer search, the
-plain minimum over relabelings of kernel tables, a scan of ker f for the
+plain minimum and the fixing permutations over relabelings of kernel
+tables, the Betti character average term by term, a scan of ker f for the
 blocked coordinates and normal witnesses of a reduction, and a
 fraction-free determinant.  None of it imports the package, except
 ``brute_reduction_outcomes``, which replays the public ``reduce`` on every
@@ -222,14 +223,62 @@ def brute_stabilizer_order(n: int, elements, table: dict[int, int]) -> int:
     return count
 
 
-def brute_canonical(tab, ranks) -> tuple:
-    """Least relabeling of reduced ranks, built in full for every
-    support-preserving permutation of the kernel tables tab (a relabeled
-    position j is red[j][image[ranks[inv[j]]]]), with no early exit.
-    """
+def _relabelings(tab, perms, ranks):
+    """Every relabeling of reduced ranks by perms (a relabeled position j is
+    red[j][image[ranks[inv[j]]]]), each built in full, with no early exit."""
     red = tab.red
-    return min(tuple(red[j][image[ranks[inv[j]]]] for j in range(len(ranks)))
-               for inv, image in tab.perms)
+    for inv, image in perms:
+        yield tuple(red[j][image[ranks[inv[j]]]] for j in range(len(ranks)))
+
+
+def brute_least(tab, perms, ranks) -> tuple:
+    """Least relabeling of reduced ranks over perms, and the number of
+    perms that give it."""
+    every = list(_relabelings(tab, perms, ranks))
+    low = min(every)
+    return low, every.count(low)
+
+
+def brute_canonical(tab, ranks) -> tuple:
+    """Least relabeling of reduced ranks over every support-preserving
+    permutation of the kernel tables tab."""
+    return brute_least(tab, tab.perms, ranks)[0]
+
+
+def brute_table_stabilizer(tab, ranks) -> int:
+    """Number of support-preserving permutations whose full relabeling of
+    reduced ranks is ranks itself."""
+    return sum(r == ranks for r in _relabelings(tab, tab.perms, ranks))
+
+
+# ---------------------------------------------------------------------------
+# rational homology
+
+
+@lru_cache(maxsize=None)
+def brute_betti_vector(n: int, support_mask: int) -> tuple[int, ...]:
+    """Betti numbers as the character average over the holonomy: the
+    elementary symmetric polynomials of each sign vector that meets the
+    support evenly, summed term by term and divided by their number.
+    Memoized per (n, support_mask)."""
+    total = [0] * (n + 1)
+    order = 0
+    for m in range(1 << n):
+        if bin(m & support_mask).count("1") % 2:
+            continue
+        order += 1
+        poly = [1]
+        for i in range(n):
+            d = -1 if m >> i & 1 else 1
+            nxt = [0] * (len(poly) + 1)
+            for t, c in enumerate(poly):
+                nxt[t] += c
+                nxt[t + 1] += d * c
+            poly = nxt
+        for t, c in enumerate(poly):
+            total[t] += c
+    assert all(t % order == 0 for t in total)
+    return tuple(t // order for t in total)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,26 @@ from ghw._kernels import (
     reduced,
 )
 from ghw.automorphisms import normalizer_stabilizer_order
+from ghw.constructions import embed_up_exist, gamma_group, klein_group
 from ghw.core import GhwPresentation, apply_coboundary, permute_coordinates
 from ghw.enumerate import cached_census, canonical_key
 
-from oracles import brute_canonical, brute_stabilizer_order
+from oracles import (
+    brute_canonical,
+    brute_least,
+    brute_stabilizer_order,
+    brute_table_stabilizer,
+)
 
 CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
 
 # Torsion-free reduced column tuples in the dim-6 cells.
 TUPLES = {(6, 1): 261_248, (6, 3): 10_470, (6, 5): 6_000}
+
+# Classes and torsion-free reduced tuples (the orbit sum) of the two fast
+# dim-7 cells. The tuple counts come from a memoized count-only walk, and
+# the brute count-only walk below reproduces them in about 20 s a cell.
+DIM7 = {(7, 5): (1_720, 412_800), (7, 7): (62, 296_400)}
 
 
 def count_torsion_free_tuples(n, k):
@@ -127,21 +138,86 @@ def test_normalized_ranks_matches_permuted_presentation(n):
             assert ranks == want, (e.key_hex, p)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+def _key_inputs(n):
+    """(group, census key or None) pairs the key tests run on: census
+    entries of dims 2-6 (every 25th of dim 6); in dim 7, embed_up_exist
+    lifts of 7 dim-6 entries of each support size, in dim 8 lifts of every
+    third of those (a lift keeps the support size), and the Klein and
+    gamma groups of dims 7-8."""
+    if n <= 6:
+        entries = cached_census(n).entries
+        return [(e.presentation, e.key)
+                for e in entries[::25 if n == 6 else 1]]
+    groups = []
+    for k in (1, 3, 5):
+        cell = [e.presentation for e in cached_census(6).entries
+                if len(e.support) == k]
+        groups += [embed_up_exist(p) for p in cell[::len(cell) // 7][:7]]
+    if n == 8:
+        groups = [embed_up_exist(p) for p in groups[::3]]
+    return [(p, None) for p in groups + [klein_group(n), gamma_group(n)]]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_canonical_matches_brute_minimum(n):
-    # The early-exit canonical against the plain minimum over every
-    # relabeling, on census entries and on one scramble of each.
+    # least's key and stabilizer against the plain minimum over every
+    # relabeling and the count of relabelings that fix the tuple, on each
+    # input and on one scramble of it.
     rng = random.Random(5000 + n)
-    entries = cached_census(n).entries
-    if n == 6:
-        entries = entries[::25]
-    for e in entries:
-        q = _full_scramble(rng, e.presentation)
-        for p in (e.presentation, q):
-            tab, ranks = normalized_ranks(p)
+    for p, key in _key_inputs(n):
+        q = _full_scramble(rng, p)
+        for g in (p, q):
+            tab, ranks = normalized_ranks(g)
             assert _kernels.canonical(tab, ranks) == brute_canonical(
-                tab, ranks), (e.key_hex, p)
-        assert canonical_key(q) == e.key
+                tab, ranks), g
+            assert _kernels.stabilizer_order(
+                tab, ranks) == brute_table_stabilizer(tab, ranks), g
+        assert canonical_key(q) == (canonical_key(p) if key is None else key)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_least_cuts_exactly_below_ref(n):
+    # At each depth d, least over the permutations mapping {0..d} onto
+    # itself returns None exactly when the brute minimum of the prefix is
+    # below ref; otherwise it returns that minimum and the number of
+    # permutations that reach it. ref is the prefix itself (the census
+    # walk's test), the canonical prefix and a random rank tuple.
+    rng = random.Random(6000 + n)
+    for p, _ in _key_inputs(n)[::3]:
+        tab, ranks = normalized_ranks(p)
+        canon = _kernels.canonical(tab, ranks)
+        for d in range(n):
+            stab = tab.stab[d]
+            prefix = ranks[:d + 1]
+            want, hits = brute_least(tab, stab, prefix)
+            refs = (prefix, canon[:d + 1],
+                    tuple(rng.choice(tab.cands[j]) for j in range(d + 1)))
+            for ref in refs:
+                got = _kernels.least(tab, stab, prefix, ref)
+                if want < ref:
+                    assert got is None, (p, d, ref)
+                else:
+                    assert got == (want, hits), (p, d, ref)
+            assert _kernels.least(tab, stab, prefix) == (want, hits)
+
+
+@pytest.mark.parametrize("n,k", sorted(DIM7))
+def test_dimension_7_cells_pinned(n, k):
+    classes, tuples = DIM7[n, k]
+    leaves = census_leaves(n, k)
+    assert len(leaves) == classes
+    order = factorial(k) * factorial(n - k)
+    assert sum(order // stab for _, stab in leaves) == tuples
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stab_lists_match_filtered_perms(n):
+    # build_tables's one-pass stabilizer lists against the plain filter.
+    for k in range(1, n + 1, 2):
+        tab = build_tables(n, k)
+        assert tab.stab == tuple(
+            tuple(p for p in tab.perms if all(i <= d for i in p[0][:d + 1]))
+            for d in range(n))
 
 
 def test_kernel_imports_no_package_module():
