@@ -12,15 +12,20 @@ A cocycle enters as its half-step functionals: column c is the character
 of one mask, which functional_ranks maps to its rank through one table per
 (dimension, support), so no element of H is scanned.
 
-The permutation primitive is least: it relabels reduced ranks by a list of
-permutations one position at a time, keeps at each position only the
-permutations that reach the least value there, and returns the least
-relabeling with the number of permutations that reach it. canonical is its
-tuple and stabilizer_order its count; the census walk checks each prefix
-against itself with it, cuts the subtree when something is smaller, and
-reads the leaf's stabilizer from the count. No table is precomposed per
-permutation, so a key one dimension above the census cap costs no more
-memory than the permutation list itself.
+The permutation primitive is least: it relabels reduced ranks by the
+permutations that map {0..d} onto themselves one position at a time, keeps
+at each position only the permutations that reach the least value there,
+and returns the least relabeling with the number of permutations that reach
+it. Position 0 is not scanned: first_position tables, per depth, the least
+position-0 value and the permutations that reach it for each old coordinate
+and rank (the first level of a Sims stabilizer chain), and is built the
+first time that depth is used. canonical is least's tuple and
+stabilizer_order its count, both at the last depth; the census walk checks
+each prefix against itself at its own depth, cuts the subtree when
+something is smaller, and reads the leaf's stabilizer from the count. A
+permutation's image is one byte per rank, so ranks fit a byte up to n = 9,
+one dimension above the census cap, and no table is precomposed per
+permutation.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ def active_backend() -> str:
     return "python"
 
 
+def _byte_table(values) -> bytes:
+    """A bytes.translate table: the given values, then zeros up to 256."""
+    return bytes(values).ljust(256, b"\0")
+
+
 @lru_cache(maxsize=None)
 def build_tables(n: int, k: int) -> SimpleNamespace:
     """Tables driving enumeration and canonicalization.
@@ -54,11 +64,14 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
       needcheck  per coordinate, elements whose last fixed coordinate it is
       cands      per coordinate, sorted reduced ranks
       mask_rank  per mask m of n bits, the rank of m's character on H
-      perms      support-preserving coordinate permutations as
-                 (inv, image): new coordinate j takes old coordinate
-                 inv[j], and image[r] is the rank of character r relabeled
+      perms      the support-preserving coordinate permutations, in no
+                 promised order, as (inv, image): new coordinate j takes
+                 old coordinate inv[j], and image (bytes) holds at r the
+                 rank of character r relabeled
       stab       per depth d, the perms mapping {0..d} onto itself
     """
+    if n > 9:
+        raise ValueError(f"dimension {n}: a rank must fit a byte (n <= 9)")
     if n < 2 or not 1 <= k <= n or k % 2 == 0:
         raise ValueError(f"no support class of size {k} in dimension {n}")
     smask = (1 << k) - 1
@@ -89,19 +102,22 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
     for t in range(1, T):
         last = max(i for i in range(n) if not H[t] >> i & 1)
         needcheck[last] |= 1 << t
-    perms = []
-    for pa in itertools.permutations(range(k)):
-        for pb in itertools.permutations(range(k, n)):
-            dst = pa + pb
-            # img[m] is mask m with bit j moved to bit dst[j].
-            img = [0]
-            for j in range(n):
-                bit = 1 << dst[j]
-                img += [x | bit for x in img]
-            inv = [0] * n
-            for j, c in enumerate(dst):
-                inv[c] = j
-            perms.append((tuple(inv), tuple([mask_rank[img[m]] for m in rep])))
+    # Start from the identity and grow S_{i+1} as the union over j < i of
+    # (j i)·S_i, plus S_i itself, inside the support and inside the rest.
+    # Swapping destination bits j and i relabels each image by one rank
+    # table (one bytes.translate) and swaps inv[j] with inv[i].
+    perms = [(tuple(range(n)), bytes(range(T)))]
+    for i in itertools.chain(range(1, k), range(k + 1, n)):
+        coset = []
+        for j in range(0 if i < k else k, i):
+            x = 1 << i | 1 << j
+            swap = _byte_table(mask_rank[m ^ x if (m >> i ^ m >> j) & 1 else m]
+                               for m in rep)
+            tau = list(range(n))
+            tau[i], tau[j] = j, i
+            coset += [(tuple(map(inv.__getitem__, tau)), image.translate(swap))
+                      for inv, image in perms]
+        perms += coset
     # p maps {0..d} onto itself iff the largest of inv[:d+1] is d.
     stab = [[] for _ in range(n)]
     for p in perms:
@@ -120,30 +136,71 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
     )
 
 
-def least(tab, perms, ranks, ref=None):
-    """The permutation primitive: the least relabeling of ranks over perms,
-    as (tuple, number of perms that give it).
+@lru_cache(maxsize=None)
+def first_position(n: int, k: int, d: int):
+    """Position 0 of least over stab[d], ahead of time: per old coordinate
+    i that those permutations move to position 0, and per rank r, the pair
+    (least position-0 value, the permutations with inv[0] = i that reach
+    it).
 
-    Position j of a relabeling is red[j][image[ranks[inv[j]]]]. Each
-    position is computed for the surviving permutations only, and those
-    that miss its minimum are dropped. When perms is a group, the survivors
-    form a coset of the stabilizer of ranks, so the count is its order.
-    ranks may be a prefix of length d+1 when every perm maps {0..d} onto
-    itself. With ref, the result is None as soon as the least relabeling
-    falls below ref, which it does exactly when it is lexicographically
-    smaller; once it rises above ref, ref is no longer read.
+    Position 0 of a relabeling is red[0][image[ranks[i]]] with i = inv[0],
+    so both depend on (i, ranks[i]) alone. Since stab[d] keeps {0..d} and
+    the support {0..k-1}, i runs over 0..min(d, k-1); the rows' lists are
+    disjoint.
     """
-    red = tab.red
+    tab = build_tables(n, k)
+    red0 = _byte_table(tab.red[0])
+    rows = []
+    for i in range(min(d, k - 1) + 1):
+        perms = [p for p in tab.stab[d] if p[0][0] == i]
+        # Row t of vals is perm t's position-0 value for each rank, so its
+        # column r (a strided slice) holds every perm's value for rank r.
+        vals = b"".join([image.translate(red0) for _, image in perms])
+        row = []
+        # Ranks whose minimizers are the same perms share one tuple.
+        seen = {}
+        for r in range(tab.T):
+            col = vals[r::tab.T]
+            m = min(col)
+            # 1 for each perm that reaches m, 0 for the rest.
+            hit = col.translate(bytes(m) + b"\1" + bytes(255 - m))
+            if hit not in seen:
+                seen[hit] = tuple(itertools.compress(perms, hit))
+            row.append((m, seen[hit]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def least(tab, d, ranks, ref=None):
+    """The permutation primitive: the least relabeling of ranks over the
+    permutations stab[d], as (tuple, number of them that give it).
+
+    Position j of a relabeling is red[j][image[ranks[inv[j]]]]. Position 0
+    is read from first_position: the least of at most k table cells, and
+    the permutations of the cells that reach it. Each later position is
+    computed for the surviving permutations only, and those that miss its
+    minimum are dropped. The survivors form a coset of the stabilizer of
+    ranks in stab[d], so the count is its order. ranks may be a prefix of
+    length d+1, since stab[d] maps {0..d} onto itself. With ref, the result
+    is None as soon as the least relabeling falls below ref, which it does
+    exactly when it is lexicographically smaller; once it rises above ref,
+    ref is no longer read.
+    """
+    cells = [row[ranks[i]]
+             for i, row in enumerate(first_position(tab.n, tab.k, d))]
+    m = min([c[0] for c in cells])
+    perms = [p for c in cells if c[0] == m for p in c[1]]
     out = []
-    for j, rj in enumerate(red[:len(ranks)]):
-        vals = [rj[image[ranks[inv[j]]]] for inv, image in perms]
-        m = min(vals)
+    for j, rj in enumerate(tab.red[:len(ranks)]):
+        if j:
+            vals = [rj[image[ranks[inv[j]]]] for inv, image in perms]
+            m = min(vals)
         if ref is not None and m != ref[j]:
             if m < ref[j]:
                 return None
             ref = None
         out.append(m)
-        if vals.count(m) < len(vals):
+        if j and vals.count(m) < len(vals):
             perms = [p for p, v in zip(perms, vals) if v == m]
     return tuple(out), len(perms)
 
@@ -155,12 +212,12 @@ def reduced(tab, cols) -> tuple[int, ...]:
 
 def canonical(tab, ranks) -> tuple[int, ...]:
     """Lexicographically least relabeling of a reduced rank tuple."""
-    return least(tab, tab.perms, ranks)[0]
+    return least(tab, tab.n - 1, ranks)[0]
 
 
 def stabilizer_order(tab, ranks) -> int:
     """Number of support-preserving permutations fixing a reduced tuple."""
-    return least(tab, tab.perms, ranks)[1]
+    return least(tab, tab.n - 1, ranks)[1]
 
 
 def to_codes(tab, ranks) -> tuple[int, ...]:
@@ -225,7 +282,6 @@ def census_leaves(n: int, k: int, deadline: float | None = None):
     def walk(depth, sat, prefix):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"census {n=} {k=} exceeded its budget")
-        stab = tab.stab[depth]
         leaf = depth == n - 1
         for r in tab.cands[depth]:
             s2 = sat | (tab.codes[r] & tab.colfix[depth])
@@ -233,7 +289,7 @@ def census_leaves(n: int, k: int, deadline: float | None = None):
             if tab.needcheck[depth] & ~s2:
                 continue
             cur = prefix + (r,)
-            hit = least(tab, stab, cur, cur)
+            hit = least(tab, depth, cur, cur)
             if hit is None:
                 continue
             if leaf:

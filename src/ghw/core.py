@@ -42,9 +42,10 @@ __all__ = [
 ]
 
 # The largest dimension a group literal, a dimension flag or a census may
-# name. A key filters all k!(n-k)! support-preserving permutations of a
-# 2^(n-1)-entry table position by position (_kernels.least), so its first
-# position alone grows with the permutation count, up to 5,040 at n = 8.
+# name. A key builds the k!(n-k)! support-preserving permutations of a
+# 2^(n-1)-entry table once per (n, k) (5,040 at n = 8) and then filters
+# only those that reach its first position's minimum (_kernels.least);
+# one dimension above the cap, a rank still fits the byte an image holds.
 MAX_DIM = 8
 
 

@@ -5,9 +5,10 @@ arithmetic (translations doubled so halves stay exact), a bounded order
 search over a lattice window, a from-first-principles enumerator with
 orbit counting by breadth-first closure, a brute stabilizer search, the
 plain minimum and the fixing permutations over relabelings of kernel
-tables, the Betti character average term by term, a scan of ker f for the
-blocked coordinates and normal witnesses of a reduction, and a
-fraction-free determinant.  None of it imports the package, except
+tables, the support-preserving permutation list, the least position-0
+value per old coordinate and rank, the Betti character average term by
+term, a scan of ker f for the blocked coordinates and normal witnesses of
+a reduction, and a fraction-free determinant.  None of it imports the package, except
 ``brute_reduction_outcomes``, which replays the public ``reduce`` on every
 (functional, coordinate) pair as the slow reference for ``list_reductions``;
 ``brute_h1_order``, which computes |H^1| through the package's integer
@@ -221,6 +222,43 @@ def brute_stabilizer_order(n: int, elements, table: dict[int, int]) -> int:
                 count += 1
                 break
     return count
+
+
+def brute_perms(n: int, k: int) -> list:
+    """Every support-preserving coordinate permutation as the kernel tables
+    hold it, (inv, image): new coordinate j takes old coordinate inv[j],
+    and image[r] (bytes) is the rank of character r relabeled. Each one is
+    built on its own from itertools.permutations, with the characters of H
+    and their ranks computed here."""
+    smask = (1 << k) - 1
+    H = [m for m in range(1 << n) if (m & smask).bit_count() % 2 == 0]
+    char = [sum(((m & h).bit_count() & 1) << t for t, h in enumerate(H))
+            for m in range(1 << n)]
+    rank = {c: r for r, c in enumerate(sorted(set(char)))}
+    rep = {rank[c]: m for m, c in enumerate(char)}
+    out = []
+    for pa in itertools.permutations(range(k)):
+        for pb in itertools.permutations(range(k, n)):
+            dst = pa + pb
+            # img[m] is mask m with bit j moved to bit dst[j].
+            img = [0]
+            for j in range(n):
+                bit = 1 << dst[j]
+                img += [x | bit for x in img]
+            inv = [0] * n
+            for j, c in enumerate(dst):
+                inv[c] = j
+            out.append((tuple(inv), bytes(rank[char[img[rep[r]]]]
+                                          for r in range(len(rank)))))
+    return out
+
+
+def brute_first_position(tab, d, i, r) -> tuple:
+    """Least position-0 value of rank r over the perms of tab.stab[d] that
+    move old coordinate i to position 0, and the set of those reaching it."""
+    vals = {p: tab.red[0][p[1][r]] for p in tab.stab[d] if p[0][0] == i}
+    low = min(vals.values())
+    return low, {p for p, v in vals.items() if v == low}
 
 
 def _relabelings(tab, perms, ranks):

@@ -24,7 +24,9 @@ from ghw.enumerate import cached_census, canonical_key
 
 from oracles import (
     brute_canonical,
+    brute_first_position,
     brute_least,
+    brute_perms,
     brute_stabilizer_order,
     brute_table_stabilizer,
 )
@@ -34,10 +36,12 @@ CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
 # Torsion-free reduced column tuples in the dim-6 cells.
 TUPLES = {(6, 1): 261_248, (6, 3): 10_470, (6, 5): 6_000}
 
-# Classes and torsion-free reduced tuples (the orbit sum) of the two fast
-# dim-7 cells. The tuple counts come from a memoized count-only walk, and
-# the brute count-only walk below reproduces them in about 20 s a cell.
-DIM7 = {(7, 5): (1_720, 412_800), (7, 7): (62, 296_400)}
+# Classes and torsion-free reduced tuples (the orbit sum) of the three
+# fast dim-7 cells. The tuple counts come from a memoized count-only walk;
+# the brute count-only walk below reproduces those of (7,5) and (7,7) in
+# about 20 s a cell.
+DIM7 = {(7, 3): (6_702, 951_336), (7, 5): (1_720, 412_800),
+        (7, 7): (62, 296_400)}
 
 
 def count_torsion_free_tuples(n, k):
@@ -94,6 +98,8 @@ def test_dimension_guard():
         census_leaves(4, 2)
     with pytest.raises(ValueError):
         canonicalize_batch(1, 1, [])
+    with pytest.raises(ValueError):
+        build_tables(10, 1)
 
 
 def test_import_loads_no_numpy():
@@ -172,6 +178,8 @@ def test_canonical_matches_brute_minimum(n):
                 tab, ranks), g
             assert _kernels.stabilizer_order(
                 tab, ranks) == brute_table_stabilizer(tab, ranks), g
+            assert _kernels.least(tab, n - 1, ranks) == brute_least(
+                tab, tab.perms, ranks), g
         assert canonical_key(q) == (canonical_key(p) if key is None else key)
 
 
@@ -193,12 +201,12 @@ def test_least_cuts_exactly_below_ref(n):
             refs = (prefix, canon[:d + 1],
                     tuple(rng.choice(tab.cands[j]) for j in range(d + 1)))
             for ref in refs:
-                got = _kernels.least(tab, stab, prefix, ref)
+                got = _kernels.least(tab, d, prefix, ref)
                 if want < ref:
                     assert got is None, (p, d, ref)
                 else:
                     assert got == (want, hits), (p, d, ref)
-            assert _kernels.least(tab, stab, prefix) == (want, hits)
+            assert _kernels.least(tab, d, prefix) == (want, hits)
 
 
 @pytest.mark.parametrize("n,k", sorted(DIM7))
@@ -218,6 +226,35 @@ def test_stab_lists_match_filtered_perms(n):
         assert tab.stab == tuple(
             tuple(p for p in tab.perms if all(i <= d for i in p[0][:d + 1]))
             for d in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_perms_match_brute_list(n):
+    # The coset-built permutation list holds every support-preserving
+    # permutation once, whatever its order.
+    for k in range(1, n + 1, 2):
+        perms = build_tables(n, k).perms
+        want = brute_perms(n, k)
+        assert len(perms) == len(want)
+        assert set(perms) == set(want)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_first_position_matches_brute(n):
+    # Every cell of every depth's table against the minimum and the
+    # minimizers recomputed over the perms of stab[d] with inv[0] = i.
+    for k in range(1, n + 1, 2):
+        tab = build_tables(n, k)
+        for d in range(n):
+            rows = _kernels.first_position(n, k, d)
+            assert {p[0][0] for p in tab.stab[d]} == set(range(len(rows)))
+            for i, row in enumerate(rows):
+                assert len(row) == tab.T
+                for r, (low, perms) in enumerate(row):
+                    want, hits = brute_first_position(tab, d, i, r)
+                    assert low == want, (k, d, i, r)
+                    assert len(perms) == len(hits)
+                    assert set(perms) == hits, (k, d, i, r)
 
 
 def test_kernel_imports_no_package_module():
