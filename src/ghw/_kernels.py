@@ -259,6 +259,48 @@ def functional_ranks(n: int, support_mask: int, lams):
     return tab, tuple([tab.red[j][ranks[lams[i]]] for j, i in enumerate(src)])
 
 
+def generator_functionals(n: int, gens):
+    """The half-step functionals of a table given by (flips, halves)
+    generator pairs, as cocycle_functionals reads them on the span of the
+    flips, or None when the flips are dependent.
+
+    Elimination over F_2 brings the pairs to reduced echelon form on the
+    flips, the halves riding along. Each row then holds its own pivot and
+    no other, so a functional whose bits all lie on pivots is read off the
+    rows: bit p of lam[c] is bit c of the halves of the row with pivot p.
+    """
+    rows: dict[int, tuple[int, int]] = {}
+    for f, h in gens:
+        for pivot, (rf, rh) in rows.items():
+            if f & pivot:
+                f ^= rf
+                h ^= rh
+        if not f:
+            return None
+        pivot = f & -f
+        rows = {q: (rf ^ f, rh ^ h) if rf & pivot else (rf, rh)
+                for q, (rf, rh) in rows.items()}
+        rows[pivot] = (f, h)
+    lams = [0] * n
+    for pivot, (_, h) in rows.items():
+        while h:
+            low = h & -h
+            lams[low.bit_length() - 1] |= pivot
+            h ^= low
+    return lams
+
+
+def torsion_free(tab, ranks) -> bool:
+    """Whether a reduced rank tuple is torsion-free: every nonidentity
+    element of H fixes a coordinate j whose column has a half step there,
+    the census walk's test at once. A coordinate's coboundary vanishes on
+    the elements that fix it, so reduced and raw columns agree."""
+    sat = 0
+    for j, r in enumerate(ranks):
+        sat |= tab.codes[r] & tab.colfix[j]
+    return sat == (1 << tab.T) - 2
+
+
 def normalized_ranks(p):
     """functional_ranks of a presentation's own cocycle table."""
     return functional_ranks(p.n, p.support_mask, cocycle_functionals(p))

@@ -389,7 +389,20 @@ def _unblocked_pairs(n: int, sigma: int, lams):
 def list_reductions(
     p: GhwPresentation, _keys: Optional[dict] = None
 ) -> tuple[ReductionChoice, ...]:
-    """Enumerate every admissible one-step reduction of p.
+    """Enumerate every admissible one-step reduction of p: _reductions of
+    its support and cocycle functionals, with _keys as its key memo."""
+    if not p.valid:
+        raise InvalidPresentation(p.report.reason)
+    if p.n < 3:
+        raise ValueError("cannot reduce below dimension 2")
+    return _reductions(p.n, p.support_mask, _kernels.cocycle_functionals(p),
+                       _keys)
+
+
+def _reductions(n: int, sigma: int, lams,
+                keys: Optional[dict] = None) -> tuple[ReductionChoice, ...]:
+    """Every admissible one-step reduction of the valid group of dimension
+    n >= 3 with support mask sigma and half-step functionals lams.
 
     Functionals f are taken modulo the support annihilator sigma (it acts
     trivially on the holonomy), using the smaller of f and f ^ sigma. The
@@ -412,17 +425,10 @@ def list_reductions(
     on K, so lam_i plus one with bit c set, h, when lam_i has bit c, drops
     to the reduced table's functional.
 
-    _keys memoizes the key of each normalized reduced table by
+    keys memoizes the key of each normalized reduced table by
     (dimension, support size, ranks); build_graph passes one dict per build.
     """
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
-    n = p.n
-    if n < 3:
-        raise ValueError("cannot reduce below dimension 2")
-    keys = {} if _keys is None else _keys
-    sigma = p.support_mask
-    lams = _kernels.cocycle_functionals(p)
+    keys = {} if keys is None else keys
     out = []
     for f, c in _unblocked_pairs(n, sigma, lams):
         bit = 1 << c
@@ -437,9 +443,7 @@ def list_reductions(
         key = keys.get(memo)
         if key is None:
             assert support.bit_count() & 1, "reduced support is even"
-            table = {_drop(m, low): _drop(p.s_by_mask[m], low)
-                     for m in p.elements if not (m & f).bit_count() & 1}
-            assert all(~m & v for m, v in table.items() if m), (
+            assert _kernels.torsion_free(tab, ranks), (
                 "unblocked reduction has torsion")
             key = keys[memo] = _canonical_bytes(tab, ranks)
         out.append(ReductionChoice(f, c + 1, key))

@@ -41,11 +41,12 @@ __all__ = [
     "MAX_DIM",
 ]
 
-# The largest dimension a group literal, a dimension flag or a census may
-# name. A key builds the k!(n-k)! support-preserving permutations of a
-# 2^(n-1)-entry table once per (n, k) (5,040 at n = 8) and then filters
-# only those that reach its first position's minimum (_kernels.least);
-# one dimension above the cap, a rank still fits the byte an image holds.
+# The largest dimension a group literal or a dimension flag may name (a
+# census stops at enumerate.CENSUS_MAX_DIM). A key builds the k!(n-k)!
+# support-preserving permutations of a 2^(n-1)-entry table once per (n, k)
+# (5,040 at n = 8) and then filters only those that reach its first
+# position's minimum (_kernels.least); one dimension above the cap, a rank
+# still fits the byte an image holds.
 MAX_DIM = 8
 
 
@@ -128,9 +129,6 @@ class SignVector:
         """Determinant exponent: 0 for det +1, 1 for det -1."""
         return self.flips.bit_count() & 1
 
-    def flipped_coordinates(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.flips >> i & 1)
-
     def __repr__(self) -> str:
         return f"SignVector({self.n}, {self.to_string()!r})"
 
@@ -176,9 +174,6 @@ class TranslationClass:
 
     def __hash__(self) -> int:
         return hash((TranslationClass, self.n, self.halves))
-
-    def half_coordinates(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.halves >> i & 1)
 
     def __repr__(self) -> str:
         return f"TranslationClass({self.n}, {self.to_string()!r})"
@@ -288,22 +283,6 @@ class GhwPresentation:
             for i in range(self.n):
                 cols[i] |= (val >> i & 1) << t
         return tuple(cols)
-
-    @classmethod
-    def from_columns(cls, n: int, elements, cols) -> "GhwPresentation":
-        """Rebuild a presentation from sorted H masks and cocycle columns."""
-        elements = tuple(elements)
-        index = {m: t for t, m in enumerate(elements)}
-        basis = _basis_of(elements)
-        assert len(basis) == n - 1
-        gens = []
-        for m in basis:
-            t = index[m]
-            halves = 0
-            for i in range(n):
-                halves |= (cols[i] >> t & 1) << i
-            gens.append((SignVector(n, m), TranslationClass(n, halves)))
-        return cls(n, gens)
 
     @property
     def report(self) -> "ValidationReport":

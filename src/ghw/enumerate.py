@@ -16,12 +16,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import factorial
 
 from . import _kernels
-from .cohomology import h1_order
 from .core import (
     MAX_DIM,
     DimensionMismatch,
@@ -29,9 +28,10 @@ from .core import (
     GhwPresentation,
     SignVector,
     TranslationClass,
+    _annihilator,
+    _basis_of,
     _require_valid,
 )
-from .homology import betti_vector
 
 __all__ = [
     "DimensionTooLarge",
@@ -51,6 +51,11 @@ __all__ = [
 
 LONG_MODE_DIM = 6
 DEFAULT_BUDGET = 1800.0
+# The largest dimension a census may be built for, checked before any
+# dimension is built. Dimension 7 (100,012 classes) takes about 25 s and
+# 300 MB with its JSONL round trip; a dimension-8 census, an estimated
+# 3.5 million classes held in memory at once, does not fit.
+CENSUS_MAX_DIM = 7
 
 
 class DimensionTooLarge(GhwError):
@@ -97,8 +102,15 @@ def are_isomorphic(p: GhwPresentation, q: GhwPresentation) -> bool:
 
 @dataclass(frozen=True)
 class CensusEntry:
+    """One class: its generators as (flips, halves) mask pairs, its key,
+    the invariants its dimension and support fix, and out_order.
+
+    The presentation is built on first access.
+    """
+
+    n: int
+    gens: tuple[tuple[int, int], ...]
     key: bytes
-    presentation: GhwPresentation
     support: tuple[int, ...]
     beta1: int
     orientable: bool
@@ -109,6 +121,16 @@ class CensusEntry:
     @property
     def key_hex(self) -> str:
         return self.key.hex()
+
+    @property
+    def support_mask(self) -> int:
+        return sum(1 << (i - 1) for i in self.support)
+
+    @cached_property
+    def presentation(self) -> GhwPresentation:
+        return GhwPresentation(self.n, [
+            (SignVector(self.n, f), TranslationClass(self.n, h))
+            for f, h in self.gens])
 
 
 class Census:
@@ -146,28 +168,43 @@ class Census:
         return sum(1 for e in self.entries if e.orientable)
 
 
-def _invariants(p: GhwPresentation, k: int) -> dict:
-    """The entry fields that a valid presentation with support size k fixes."""
+@lru_cache(maxsize=None)
+def _fields(n: int, sigma: int) -> dict:
+    """The entry fields that a valid group of dimension n with support mask
+    sigma has: b1 is 1 exactly for a singleton support, the Betti numbers
+    are 1 in degrees 0 and k (homology.betti_vector), and |H^1| is
+    2^(n - b1) (cohomology.h1_order). Shared; do not mutate."""
+    k = sigma.bit_count()
+    beta1 = 1 if k == 1 else 0
     return {
-        "support": p.support,
-        "beta1": 1 if k == 1 else 0,
-        "orientable": k == p.n,
-        "betti": betti_vector(p),
-        "h1_order": h1_order(p),
+        "support": tuple(i + 1 for i in range(n) if sigma >> i & 1),
+        "beta1": beta1,
+        "orientable": k == n,
+        "betti": tuple(int(j in (0, k)) for j in range(n + 1)),
+        "h1_order": 1 << (n - beta1),
     }
+
+
+@lru_cache(maxsize=None)
+def _leaf_basis(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The basis of H (core._basis_of of its sorted elements) that a leaf's
+    generators are read at, each element with its index in H."""
+    H = _kernels.build_tables(n, k).H
+    return tuple((m, H.index(m)) for m in _basis_of(H))
 
 
 def _entry_from_cols(n: int, k: int, cols, stab: int) -> CensusEntry:
     """The entry of one census leaf and its stabilizer order.
 
-    out_order is 2 * stab * h1_order, the formula of automorphisms.out_order,
-    with the stabilizer the walk counted.
+    The walk has proved the leaf valid, so nothing is checked again. Each
+    generator is a basis element of H whose halves bit i is column i's bit
+    at that element. out_order is 2 * stab * h1_order, the formula of
+    automorphisms.out_order, with the stabilizer the walk counted.
     """
-    tab = _kernels.build_tables(n, k)
-    p = GhwPresentation.from_columns(n, tab.H, cols)
-    assert p.valid, "kernel emitted an invalid leaf"
-    fields = _invariants(p, k)
-    return CensusEntry(key=_key_bytes(n, k, cols), presentation=p,
+    fields = _fields(n, (1 << k) - 1)
+    gens = tuple((m, sum((c >> t & 1) << i for i, c in enumerate(cols)))
+                 for m, t in _leaf_basis(n, k))
+    return CensusEntry(n=n, gens=gens, key=_key_bytes(n, k, cols),
                        out_order=2 * stab * fields["h1_order"], **fields)
 
 
@@ -231,8 +268,9 @@ def cached_census(n: int) -> Census:
 
 
 def _check_cap(n: int) -> None:
-    if n > MAX_DIM:
-        raise DimensionTooLarge(f"dimension {n} exceeds the cap {MAX_DIM}")
+    if n > CENSUS_MAX_DIM:
+        raise DimensionTooLarge(
+            f"dimension {n} exceeds the census cap {CENSUS_MAX_DIM}")
 
 
 def _check_run_limits(budget: float | None, workers: int) -> None:
@@ -291,16 +329,17 @@ def census_table(
     ]
 
 
+def _coordinates(mask: int) -> list[int]:
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _entry_json(e: CensusEntry) -> str:
     obj = {
-        "dim": e.presentation.n,
+        "dim": e.n,
         "support": list(e.support),
         "generators": [
-            {
-                "flips": list(sv.flipped_coordinates()),
-                "halves": list(tc.half_coordinates()),
-            }
-            for sv, tc in e.presentation.gens
+            {"flips": _coordinates(f), "halves": _coordinates(h)}
+            for f, h in e.gens
         ],
         "canonical_key": e.key.hex(),
         "beta1": e.beta1,
@@ -323,17 +362,37 @@ def _coordinates_mask(coords) -> int:
     return sum(1 << (i - 1) for i in coords)
 
 
-def _entry_from_json(obj: dict) -> CensusEntry:
-    """One census entry, checked against every field its presentation fixes.
+def _checked_generators(n: int, obj: dict):
+    """(gens, sigma, tab, ranks) of a line's generators when they give a
+    valid group, else None.
 
-    Raises ValueError naming the first bad field. The key must be that of
-    the presentation's own reduced columns, the form the census writes;
-    its minimality and the stabilizer inside out_order are not recomputed,
-    but out_order must be 2 * h1_order times a divisor of k!(n-k)!.
+    gens are the (flips, halves) masks, n - 1 pairs inside n coordinates;
+    the flips must be independent, sigma (their annihilator) odd, and the
+    reduced ranks of the table torsion-free.
     """
-    n = obj["dim"]
-    if type(n) is not int or not 2 <= n <= MAX_DIM:
-        raise ValueError(f"dim {n!r} is outside 2..{MAX_DIM}")
+    try:
+        gens = tuple((_coordinates_mask(g["flips"]),
+                      _coordinates_mask(g["halves"]))
+                     for g in obj["generators"])
+    except (LookupError, TypeError, ValueError):
+        return None
+    if len(gens) != n - 1 or any((f | h) >> n for f, h in gens):
+        return None
+    lams = _kernels.generator_functionals(n, gens)
+    if lams is None:
+        return None
+    sigma = _annihilator(n, [f for f, _ in gens])
+    if not sigma.bit_count() & 1:
+        return None
+    tab, ranks = _kernels.functional_ranks(n, sigma, lams)
+    if not _kernels.torsion_free(tab, ranks):
+        return None
+    return gens, sigma, tab, ranks
+
+
+def _refusal(n: int, obj: dict) -> ValueError:
+    """The error of a line whose generators fail _checked_generators, in
+    the words of the presentation they build."""
     try:
         p = GhwPresentation(n, [
             (SignVector(n, _coordinates_mask(g["flips"])),
@@ -341,15 +400,32 @@ def _entry_from_json(obj: dict) -> CensusEntry:
             for g in obj["generators"]
         ])
     except (GhwError, LookupError, TypeError, ValueError) as exc:
-        raise ValueError(f"generators: {exc}") from None
-    if not p.valid:
-        raise ValueError(f"generators: {p.report.reason}")
-    tab, ranks = _kernels.normalized_ranks(p)
+        return ValueError(f"generators: {exc}")
+    assert not p.valid, "a valid presentation failed the generator checks"
+    return ValueError(f"generators: {p.report.reason}")
+
+
+def _entry_from_json(obj: dict) -> CensusEntry:
+    """One census entry, checked against every field its generators fix.
+
+    Raises ValueError naming the first bad field. The key must be that of
+    the generators' own reduced columns, the form the census writes;
+    its minimality and the stabilizer inside out_order are not recomputed,
+    but out_order must be 2 * h1_order times a divisor of k!(n-k)!.
+    A presentation is built only to word the error of bad generators.
+    """
+    n = obj["dim"]
+    if type(n) is not int or not 2 <= n <= MAX_DIM:
+        raise ValueError(f"dim {n!r} is outside 2..{MAX_DIM}")
+    checked = _checked_generators(n, obj)
+    if checked is None:
+        raise _refusal(n, obj)
+    gens, sigma, tab, ranks = checked
     k = tab.k
     key = _key_bytes(n, k, _kernels.to_codes(tab, ranks))
     if obj["canonical_key"] != key.hex():
         raise ValueError("canonical_key is not the key of the generators")
-    fields = _invariants(p, k)
+    fields = _fields(n, sigma)
     for name, value in fields.items():
         if obj[name] != (list(value) if isinstance(value, tuple) else value):
             raise ValueError(f"{name} {obj[name]!r} differs from {value!r}, "
@@ -360,7 +436,7 @@ def _entry_from_json(obj: dict) -> CensusEntry:
             and factorial(k) * factorial(n - k) % (out // twice_h1) == 0):
         raise ValueError(f"out_order {out!r} is not {twice_h1} times a "
                          f"divisor of {k}! * {n - k}!")
-    return CensusEntry(key=key, presentation=p, out_order=out, **fields)
+    return CensusEntry(n=n, gens=gens, key=key, out_order=out, **fields)
 
 
 def census_from_jsonl(text: str) -> Census:
@@ -381,7 +457,7 @@ def census_from_jsonl(text: str) -> Census:
             raise ValueError(f"census line {number}: no field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"census line {number}: {exc}") from None
-        if entries and e.presentation.n != entries[0].presentation.n:
+        if entries and e.n != entries[0].n:
             raise DimensionMismatch("mixed dimensions in census stream")
         if e.key in seen:
             raise ValueError(f"census line {number}: canonical_key repeats "
@@ -390,4 +466,4 @@ def census_from_jsonl(text: str) -> Census:
         entries.append(e)
     if not entries:
         raise ValueError("empty census stream")
-    return Census(entries[0].presentation.n, entries)
+    return Census(entries[0].n, entries)

@@ -12,7 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import ReductionChoice, list_reductions
+from . import _kernels
+from .constructions import ReductionChoice, _reductions
 from .core import GhwError
 from .enumerate import Census, censuses
 
@@ -166,7 +167,8 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     The censuses come from enumerate.censuses under the given long mode,
     budget and workers. For every entry of dimension d >= 3 each distinct
     reduction class contributes one edge, witnessed by the first choice (in
-    scan order) that lands in the class.
+    scan order) that lands in the class. Entries are reduced from their
+    generators' functionals, without a presentation.
     """
     if max_dim < 2:
         raise ValueError("max_dim must be at least 2")
@@ -184,12 +186,14 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
             vertices.append(Vertex(d, entry.key, name, entry.beta1))
 
     edges = []
-    keys: dict = {}  # list_reductions' key memo, for this build only
+    keys: dict = {}  # _reductions' key memo, for this build only
     for d in range(3, max_dim + 1):
         lower_keys = {e.key for e in by_dim[d - 1].entries}
         for entry in by_dim[d].entries:
+            sigma = entry.support_mask
+            lams = _kernels.generator_functionals(d, entry.gens)
             first_by_target: dict[bytes, ReductionChoice] = {}
-            for choice in list_reductions(entry.presentation, keys):
+            for choice in _reductions(d, sigma, lams, keys):
                 if choice.key not in first_by_target:
                     first_by_target[choice.key] = choice
             assert first_by_target, "every vertex must reduce somewhere"
@@ -200,17 +204,16 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
                     upper=entry.key,
                     lower=target_key,
                     witness=choice,
-                    normal=_witness_is_normal(entry, choice),
+                    normal=_witness_is_normal(sigma, choice),
                 ))
 
     return GhwGraph(max_dim, by_dim, tuple(vertices), tuple(edges))
 
 
-def _witness_is_normal(entry, choice: ReductionChoice) -> bool:
+def _witness_is_normal(sigma: int, choice: ReductionChoice) -> bool:
     """Edge.normal: no member of ker f on H flips c, that is, e_c vanishes
     on ker f, so e_c is one of sigma, f, f ^ sigma.
     """
-    sigma = entry.presentation.support_mask
     f = choice.functional
     return 1 << (choice.coordinate - 1) in (sigma, f, f ^ sigma)
 

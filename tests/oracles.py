@@ -13,8 +13,10 @@ package, except ``brute_reduction_outcomes``, which replays the public
 ``reduce`` on every (functional, coordinate) pair as the slow reference
 for ``list_reductions``; ``brute_h1_order``, which computes |H^1| through
 the package's integer Smith normal form (itself checked by ``check_snf``)
-as the reference for the closed form; and ``reference_edges_json``, the
-``json.dumps`` rendering of a graph's edge list.
+as the reference for the closed form; ``presentation_from_columns``, which
+rebuilds a census leaf's presentation the way census entries once were
+built, as the reference for the lean entries; and ``reference_edges_json``,
+the ``json.dumps`` rendering of a graph's edge list.
 """
 
 from __future__ import annotations
@@ -493,6 +495,50 @@ def brute_list_reductions(p) -> tuple:
         for (f, c), key in brute_reduction_outcomes(p).items()
         if isinstance(key, bytes)
     ))
+
+
+# ---------------------------------------------------------------------------
+# census leaves
+
+
+def random_generators(rng, n: int, odd_span: bool = True):
+    """n - 1 random (flips, halves) mask pairs. With odd_span the flips
+    are a basis of the kernel of a random odd-weight functional, the span
+    of a valid group; otherwise they are any nonzero masks, so their span
+    may be dependent or hold the all-flip element. The halves are random,
+    so most tables have torsion."""
+    sigma = rng.choice([s for s in range(1, 1 << n) if bin(s).count("1") % 2])
+    pool = [m for m in range(1, 1 << n)
+            if not odd_span or bin(m & sigma).count("1") % 2 == 0]
+    gens = []
+    span = {0}
+    while len(gens) < n - 1:
+        m = rng.choice(pool)
+        if odd_span and m in span:
+            continue
+        span |= {m ^ x for x in span}
+        gens.append((m, rng.randrange(1 << n)))
+    return gens
+
+
+def presentation_from_columns(n: int, elements, cols):
+    """The GhwPresentation of sorted H masks and cocycle columns: one
+    generator per element of the greedy basis of the span (elements
+    scanned in sorted order), its halves bit i read from column i at that
+    element's index."""
+    from ghw.core import GhwPresentation, SignVector, TranslationClass
+
+    elements = sorted(elements)
+    span = {0}
+    gens = []
+    for t, m in enumerate(elements):
+        if m in span:
+            continue
+        span |= {m ^ x for x in span}
+        halves = sum((cols[i] >> t & 1) << i for i in range(n))
+        gens.append((SignVector(n, m), TranslationClass(n, halves)))
+    assert len(gens) == n - 1
+    return GhwPresentation(n, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import time
 
 import pytest
 
+import ghw._kernels
+import ghw.enumerate
 from ghw.cli import _parser, main
 from ghw.core import MAX_DIM
+from ghw.enumerate import CENSUS_MAX_DIM
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 
@@ -47,6 +50,27 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--dim", "9", "--long")
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--dim", str(CENSUS_MAX_DIM + 1), "--long"),
+        ("table", "--max-dim", str(CENSUS_MAX_DIM + 1), "--long"),
+        ("graph", "--max-dim", str(CENSUS_MAX_DIM + 1), "--long"),
+    ])
+    def test_census_cap(self, capsys, monkeypatch, argv):
+        # A census past the cap runs out of memory; if the cap ever stops
+        # holding, fail at the first census instead.
+        def boom(*args, **kwargs):
+            raise AssertionError("a census started past the census cap")
+
+        monkeypatch.setattr(ghw._kernels, "census_leaves", boom)
+        monkeypatch.setattr(ghw.enumerate, "cached_census", boom)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert (f"dimension {CENSUS_MAX_DIM + 1} exceeds the census cap "
+                f"{CENSUS_MAX_DIM}") in err
 
 
 class TestTable:

@@ -1,11 +1,28 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from ghw.core import MAX_DIM, parse_group, permute_coordinates, apply_coboundary
+from ghw._kernels import build_tables, census_leaves
+from ghw.automorphisms import normalizer_stabilizer_order
+from ghw.cohomology import h1_order
+from ghw.core import (
+    MAX_DIM,
+    GhwError,
+    GhwPresentation,
+    SignVector,
+    TranslationClass,
+    apply_coboundary,
+    first_betti,
+    orientable,
+    parse_group,
+    permute_coordinates,
+    validate_ghw,
+)
 from ghw.enumerate import (
     BudgetExhausted,
+    Census,
     DimensionMismatch,
     DimensionTooLarge,
     are_isomorphic,
@@ -17,8 +34,12 @@ from ghw.enumerate import (
     censuses,
     enumerate_census,
     hyperplane_classes,
+    _support_entries,
 )
 from ghw.constructions import gamma_group, klein_group
+from ghw.homology import betti_vector
+
+from oracles import presentation_from_columns, random_generators
 
 DIDICOSM_KEY = bytes.fromhex("03030a0606")
 
@@ -91,6 +112,42 @@ def test_keys_scramble_invariant_sample():
             q = apply_coboundary(
                 permute_coordinates(p, tuple(perm)), rng.randrange(16))
             assert canonical_key(q) == e.key
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lean_fields_match_presentation(n):
+    # Entries are built from the leaf columns without a presentation; each
+    # field against what the presentation gives, and the presentation
+    # against the one a leaf's columns rebuild.
+    c = cached_census(n)
+    seen = 0
+    for k in range(1, n + 1, 2):
+        tab = build_tables(n, k)
+        for cols, _ in census_leaves(n, k):
+            q = presentation_from_columns(n, tab.H, cols)
+            e = c.entry(canonical_key(q))
+            p = e.presentation
+            assert p == q
+            assert validate_ghw(p).verdict
+            assert canonical_key(p) == e.key
+            assert (e.support, e.support_mask) == (p.support, p.support_mask)
+            assert e.beta1 == first_betti(p)
+            assert e.orientable == orientable(p)
+            assert e.betti == betti_vector(p)
+            assert e.h1_order == h1_order(p)
+            assert 2 * normalizer_stabilizer_order(p) * h1_order(p) == (
+                e.out_order)
+            seen += 1
+    assert seen == len(c)
+
+
+def test_presentation_built_on_first_access():
+    c = enumerate_census(4)
+    assert not any("presentation" in vars(e) for e in c)
+    e = c.entries[0]
+    assert e.presentation is e.presentation
+    back = census_from_jsonl(census_to_jsonl(c))
+    assert not any("presentation" in vars(e) for e in back)
 
 
 def test_entries_sorted_by_key():
@@ -182,8 +239,8 @@ class TestJsonlChecks:
             [sv for sv, _ in second.presentation.gens]
 
         def edit(obj):
-            for g, (_, tc) in zip(obj["generators"], first.presentation.gens):
-                g["halves"] = list(tc.half_coordinates())
+            for g, (_, h) in zip(obj["generators"], first.gens):
+                g["halves"] = [i + 1 for i in range(3) if h >> i & 1]
 
         _rejected(_edited(3, 1, edit), 2, "canonical_key is not the key")
 
@@ -196,7 +253,7 @@ class TestJsonlChecks:
 
         def edit(obj):
             for g, (_, tc) in zip(obj["generators"], moved.gens):
-                g["halves"] = list(tc.half_coordinates())
+                g["halves"] = [i + 1 for i in range(3) if tc.halves >> i & 1]
 
         back = census_from_jsonl(_edited(3, i, edit))
         assert back.entry(DIDICOSM_KEY).presentation == moved
@@ -241,10 +298,78 @@ class TestJsonlChecks:
         text = census_to_jsonl(cached_census(2)) + "{\n"
         _rejected(text, 2, "")
 
+    @pytest.mark.parametrize("n, line, gens, reason", [
+        (3, 2, [([2, 3], [1, 2]), ([1, 3], [])], "torsion at --+"),
+        (4, 3, [([2], []), ([3], []), ([4], [])], "torsion at +-++"),
+        (5, 8, [([1, 2], [1, 2]), ([2, 3], [2]), ([4], [5]), ([5], [4])],
+         "torsion at --+++"),
+        (4, 3, [([1, 2], [1]), ([2, 3], [2]), ([3, 4], [3])],
+         "the all-flip sign vector lies in the span (even support)"),
+        (4, 3, [([2], [1]), ([2], [3]), ([1, 3], [4])],
+         "sign vector +-++ lies in the span of its predecessors"),
+        (4, 3, [([5], [1]), ([2], [3]), ([1, 3], [4])],
+         "mask 0x10 does not fit in 4 coordinates"),
+        (4, 3, [([2], [7]), ([3], [1]), ([1, 3], [4])],
+         "mask 0x40 does not fit in 4 coordinates"),
+        (4, 3, [([2], [1]), ([3], [1])], "expected 3 generators, got 2"),
+    ])
+    def test_refused_generators_text(self, n, line, gens, reason):
+        # The error text is the one a presentation of the line words.
+        text = _edited(n, line - 1, lambda obj: obj.update(generators=[
+            {"flips": f, "halves": h} for f, h in gens]))
+        with pytest.raises(ValueError) as info:
+            census_from_jsonl(text)
+        assert str(info.value) == f"census line {line}: generators: {reason}"
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("odd_span", [True, False])
+    def test_random_generators_text(self, n, odd_span):
+        # Random tables, most with torsion and, without odd_span, some with
+        # dependent flips or an even support: the read refuses exactly the
+        # invalid ones, with the text their presentation gives, and reads
+        # on past the generators of the valid ones.
+        rng = random.Random(900 + n)
+        for _ in range(100):
+            gens = random_generators(rng, n, odd_span)
+            line = json.dumps({"dim": n, "generators": [
+                {"flips": [i + 1 for i in range(n) if f >> i & 1],
+                 "halves": [i + 1 for i in range(n) if h >> i & 1]}
+                for f, h in gens]})
+            try:
+                p = GhwPresentation(n, [
+                    (SignVector(n, f), TranslationClass(n, h))
+                    for f, h in gens])
+                want = (f"generators: {p.report.reason}" if not p.valid
+                        else "no field 'canonical_key'")
+            except GhwError as exc:
+                want = f"generators: {exc}"
+            with pytest.raises(ValueError) as info:
+                census_from_jsonl(line)
+            assert str(info.value) == f"census line 1: {want}"
+
     def test_repeated_line(self):
         text = census_to_jsonl(cached_census(3))
         first = text.splitlines()[0]
         _rejected(text + first + "\n", 4, "canonical_key repeats")
+
+
+# sha256 of the census JSONL of each fast dim-7 cell, as written when each
+# entry held a presentation built and validated from the leaf's columns.
+DIM7_CELL_SHA256 = {
+    3: "c0eafb127e00c90ff1fbbc9449f322038a28c7ead3fee3404d33276eeadc42ed",
+    5: "6d731af37ba6fd699284f8fc94129fb3448173f35164458f0ca10fe85ead6ece",
+    7: "24180181d41b46e3cc687c931fc16e6f071161aa4d9cc7e7cb40c54e8785f9b5",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DIM7_CELL_SHA256))
+def test_dimension_7_cell_round_trip(k):
+    c = Census(7, _support_entries(7, k, None))
+    text = census_to_jsonl(c)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIM7_CELL_SHA256[k]
+    back = census_from_jsonl(text)
+    assert back.entries == c.entries
+    assert census_to_jsonl(back) == text
 
 
 class TestHyperplaneClasses:

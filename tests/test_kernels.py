@@ -19,7 +19,14 @@ from ghw._kernels import (
 )
 from ghw.automorphisms import normalizer_stabilizer_order
 from ghw.constructions import embed_up_exist, gamma_group, klein_group
-from ghw.core import GhwPresentation, apply_coboundary, permute_coordinates
+from ghw.core import (
+    GhwPresentation,
+    SignVector,
+    TranslationClass,
+    apply_coboundary,
+    is_torsion_free,
+    permute_coordinates,
+)
 from ghw.enumerate import cached_census, canonical_key
 
 from oracles import (
@@ -29,6 +36,8 @@ from oracles import (
     brute_perms,
     brute_stabilizer_order,
     brute_table_stabilizer,
+    presentation_from_columns,
+    random_generators,
 )
 
 CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
@@ -69,7 +78,7 @@ def test_orbit_stabilizer_checksum(n, k):
     tab = build_tables(n, k)
     orbits = 0
     for cols, stab in census_leaves(n, k):
-        p = GhwPresentation.from_columns(n, tab.H, cols)
+        p = presentation_from_columns(n, tab.H, cols)
         assert stab == normalizer_stabilizer_order(p)
         if n <= 4:
             assert stab == brute_stabilizer_order(n, p.elements, p.s_by_mask)
@@ -255,6 +264,45 @@ def test_first_position_matches_brute(n):
                     assert low == want, (k, d, i, r)
                     assert len(perms) == len(hits)
                     assert set(perms) == hits, (k, d, i, r)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lean_ranks_match_presentation_on_census(n):
+    # Census entries reduce and read through generator_functionals and the
+    # rank torsion test; both against the presentation's own route.
+    for e in cached_census(n).entries:
+        p = e.presentation
+        tab, ranks = normalized_ranks(p)
+        lams = _kernels.generator_functionals(n, e.gens)
+        assert _kernels.functional_ranks(n, e.support_mask, lams) == (
+            tab, ranks)
+        assert _kernels.torsion_free(tab, ranks)
+        assert is_torsion_free(p)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_torsion_free_matches_core_on_random_tables(n):
+    rng = random.Random(700 + n)
+    outcomes = set()
+    for _ in range(300):
+        gens = random_generators(rng, n)
+        p = GhwPresentation(n, [(SignVector(n, f), TranslationClass(n, h))
+                                for f, h in gens])
+        tab, ranks = normalized_ranks(p)
+        lams = _kernels.generator_functionals(n, gens)
+        assert _kernels.functional_ranks(n, p.support_mask, lams) == (
+            tab, ranks)
+        free = is_torsion_free(p)
+        assert _kernels.torsion_free(tab, ranks) == free
+        outcomes.add(free)
+    assert False in outcomes
+
+
+def test_generator_functionals_refuse_dependent_flips():
+    assert _kernels.generator_functionals(3, [(0b011, 1), (0b011, 2)]) is None
+    assert _kernels.generator_functionals(
+        4, [(0b0011, 0), (0b0110, 0), (0b0101, 0)]) is None
+    assert _kernels.generator_functionals(3, [(0, 1), (0b011, 2)]) is None
 
 
 def test_kernel_imports_no_package_module():
