@@ -8,15 +8,16 @@ plain minimum and the fixing permutations over relabelings of kernel
 tables, the support-preserving permutation list, the least position-0
 value per old coordinate and rank, the Betti character average term by
 term, a scan of ker f for the blocked coordinates and normal witnesses of
-a reduction, and a fraction-free determinant.  None of it imports the
-package, except ``brute_reduction_outcomes``, which replays the public
-``reduce`` on every (functional, coordinate) pair as the slow reference
-for ``list_reductions``; ``brute_h1_order``, which computes |H^1| through
-the package's integer Smith normal form (itself checked by ``check_snf``)
-as the reference for the closed form; ``presentation_from_columns``, which
-rebuilds a census leaf's presentation the way census entries once were
-built, as the reference for the lean entries; and ``reference_edges_json``,
-the ``json.dumps`` rendering of a graph's edge list.
+a reduction, random generator tables, and a fraction-free determinant.
+None of it imports the package, except ``brute_reduction_outcomes``,
+which replays the public ``reduce`` on every (functional, coordinate)
+pair as the slow reference for ``list_reductions``; ``brute_h1_order``,
+which computes |H^1| through the package's integer Smith normal form
+(itself checked by ``check_snf``) as the reference for the closed form;
+``presentation_from_columns``, which rebuilds a census leaf's presentation
+from its columns as the reference for the lean census entries; and
+``reference_edges_json``, the ``json.dumps`` rendering of a graph's edge
+list.
 """
 
 from __future__ import annotations
