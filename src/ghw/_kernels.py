@@ -224,28 +224,18 @@ def to_codes(tab, ranks) -> tuple[int, ...]:
     return tuple(tab.codes[r] for r in ranks)
 
 
-def cocycle_functionals(p) -> list[int]:
-    """Per coordinate c, a mask lam[c] whose parity against each m of H is
-    bit c of p.s_by_mask[m], with its lowest support bit clear.
-
-    The table is linear on H, so it is read on a basis of H: e_j off the
-    support, and e_j + e_low for each other support coordinate j.
-    """
-    sigma = p.support_mask
-    low = sigma & -sigma
-    vals = [p.s_by_mask[1 << j ^ (low if sigma >> j & 1 else 0)]
-            for j in range(p.n)]
-    return [sum((v >> c & 1) << j for j, v in enumerate(vals))
-            for c in range(p.n)]
+def support_order(n: int, support_mask: int) -> list[int]:
+    """The coordinates (from 0) of a support, then the rest, each in
+    increasing order: the order every support alignment keeps."""
+    return sorted(range(n), key=lambda i: (not support_mask >> i & 1, i))
 
 
 @lru_cache(maxsize=None)
 def _support_ranks(n: int, support_mask: int):
-    """Tables, the order src (the support, then the rest, each increasing,
-    as in core._support_alignment) and, per mask m, mask_rank of m with
+    """Tables, the support_order src and, per mask m, mask_rank of m with
     each bit src[j] moved to bit j."""
     tab = build_tables(n, support_mask.bit_count())
-    src = sorted(range(n), key=lambda i: (not support_mask >> i & 1, i))
+    src = support_order(n, support_mask)
     img = [0]
     for i in range(n):
         img += [x | 1 << src.index(i) for x in img]
@@ -260,14 +250,18 @@ def functional_ranks(n: int, support_mask: int, lams):
 
 
 def generator_functionals(n: int, gens):
-    """The half-step functionals of a table given by (flips, halves)
-    generator pairs, as cocycle_functionals reads them on the span of the
-    flips, or None when the flips are dependent.
+    """The support mask sigma and half-step functionals lams of a table
+    given by n - 1 (flips, halves) generator pairs, as (sigma, lams), or
+    None when the flips are dependent.
 
-    Elimination over F_2 brings the pairs to reduced echelon form on the
-    flips, the halves riding along. Each row then holds its own pivot and
-    no other, so a functional whose bits all lie on pivots is read off the
-    rows: bit p of lam[c] is bit c of the halves of the row with pivot p.
+    sigma is the unique nonzero functional vanishing on the span H of the
+    flips; the parity of lams[c] against each m of H is bit c of the
+    table's value at m. Elimination over F_2 brings the pairs to reduced
+    echelon form on the flips, the halves riding along, leaving one free
+    bit. Each row then holds its own pivot, no other, and perhaps the free
+    bit, so sigma is the free bit and the pivot of every row that holds
+    it, and a functional whose bits all lie on pivots is read off the rows:
+    bit p of lams[c] is bit c of the halves of the row with pivot p.
     """
     rows: dict[int, tuple[int, int]] = {}
     for f, h in gens:
@@ -281,13 +275,17 @@ def generator_functionals(n: int, gens):
         rows = {q: (rf ^ f, rh ^ h) if rf & pivot else (rf, rh)
                 for q, (rf, rh) in rows.items()}
         rows[pivot] = (f, h)
+    assert len(rows) < n, "sign span is not proper"
+    assert len(rows) == n - 1, "sign span has index greater than 2"
+    free = ((1 << n) - 1) ^ sum(rows)
+    sigma = free | sum(pivot for pivot, (rf, _) in rows.items() if rf & free)
     lams = [0] * n
     for pivot, (_, h) in rows.items():
         while h:
             low = h & -h
             lams[low.bit_length() - 1] |= pivot
             h ^= low
-    return lams
+    return sigma, lams
 
 
 def torsion_free(tab, ranks) -> bool:
@@ -303,7 +301,7 @@ def torsion_free(tab, ranks) -> bool:
 
 def normalized_ranks(p):
     """functional_ranks of a presentation's own cocycle table."""
-    return functional_ranks(p.n, p.support_mask, cocycle_functionals(p))
+    return functional_ranks(p.n, p.support_mask, p.lams)
 
 
 def census_leaves(n: int, k: int, deadline: float | None = None):

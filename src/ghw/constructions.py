@@ -25,7 +25,6 @@ from .core import (
     find_torsion_element,
     orientable,
     permute_coordinates,
-    _annihilator,
     _basis_of,
     _support_alignment,
 )
@@ -254,8 +253,8 @@ def realize_representation(
     while full_spec.rank < spec.n - 1:
         full_spec = extend_representation(full_spec)
     n = spec.n
-    span = full_spec.span()
-    sigma = _annihilator(n, span)
+    sigma, _ = _kernels.generator_functionals(
+        n, [(b, 0) for b in full_spec.flip_masks])
     m = sigma.bit_count()
     assert m % 2 == 1
     if m == 1:
@@ -267,7 +266,7 @@ def realize_representation(
     perm = _support_alignment(n, base.support_mask, sigma)
     p = permute_coordinates(base, perm)
     assert p.support_mask == sigma
-    assert set(p.elements) == span
+    assert set(p.elements) == full_spec.span()
     if spec.rank == n - 1:
         return p
     gens = [(SignVector(n, b), p.s(b)) for b in spec.flip_masks]
@@ -395,8 +394,7 @@ def list_reductions(
         raise InvalidPresentation(p.report.reason)
     if p.n < 3:
         raise ValueError("cannot reduce below dimension 2")
-    return _reductions(p.n, p.support_mask, _kernels.cocycle_functionals(p),
-                       _keys)
+    return _reductions(p.n, p.support_mask, p.lams, _keys)
 
 
 def _reductions(n: int, sigma: int, lams,
@@ -406,7 +404,7 @@ def _reductions(n: int, sigma: int, lams,
 
     Functionals f are taken modulo the support annihilator sigma (it acts
     trivially on the holonomy), using the smaller of f and f ^ sigma. The
-    map m -> bit c of s[m] is linear on H: lam_c (cocycle_functionals).
+    map m -> bit c of s[m] is linear on H: lam_c (generator_functionals).
     Coordinate c is skipped when e_c lies in ker f, where dropping c
     collapses the holonomy (reduce raises ReductionNotGhw), or when it is
     blocked (reduce raises InvalidChoice): some m in K = ker f on H has

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernels import generator_functionals, support_order
+
 __all__ = [
     "GhwError",
     "DependentGenerators",
@@ -211,40 +213,21 @@ def _basis_of(masks) -> list[int]:
     return basis
 
 
-def _annihilator(n: int, masks) -> int:
-    """The unique nonzero functional vanishing on an index-2 sign span.
-
-    `masks` may be a basis or the whole span. Elimination over F_2 brings
-    them to reduced echelon form, O(n) per mask, leaving one free bit; the
-    annihilator has it and the pivot of every row that contains it.
-    """
-    rows: dict[int, int] = {}
-    for m in masks:
-        for pivot, row in rows.items():
-            if m & pivot:
-                m ^= row
-        if m:
-            pivot = m & -m
-            rows = {q: r ^ m if r & pivot else r for q, r in rows.items()}
-            rows[pivot] = m
-    assert len(rows) < n, "sign span is not proper"
-    assert len(rows) == n - 1, "sign span has index greater than 2"
-    free = ((1 << n) - 1) ^ sum(rows)
-    return free | sum(pivot for pivot, row in rows.items() if row & free)
-
-
 class GhwPresentation:
     """Dimension-n group given by n-1 generators (sign vector, translation class).
 
     The sign vectors must be independent over F_2; they then span an index-2
     subgroup H of the diagonal group, and the translation classes extend to a
     linear cocycle on H. H is recorded through its support: the coordinate set
-    of the unique nonzero vector annihilating H. Geometric soundness
+    of the unique nonzero vector annihilating H. The cocycle is also kept as
+    its half-step functionals lams (_kernels.generator_functionals): the
+    parity of lams[c] against each m of H is bit c of s(m). Geometric soundness
     (torsion-freeness and friends) is reported by validate_ghw, never enforced
     here, so defective tables can still be inspected.
     """
 
-    __slots__ = ("n", "gens", "elements", "s_by_mask", "support_mask", "_report")
+    __slots__ = ("n", "gens", "elements", "s_by_mask", "support_mask", "lams",
+                 "_report")
 
     def __init__(self, n: int, gens):
         gens = tuple(gens)
@@ -260,7 +243,8 @@ class GhwPresentation:
         self.gens = gens
         self.elements = tuple(sorted(table))
         self.s_by_mask = table
-        self.support_mask = _annihilator(n, [sv.flips for sv, _ in gens])
+        self.support_mask, self.lams = generator_functionals(
+            n, [(sv.flips, tc.halves) for sv, tc in gens])
         self._report = None
 
     @property
@@ -363,13 +347,8 @@ def _support_alignment(n: int, src_mask: int, dst_mask: int) -> tuple[int, ...]:
     bits as dst_mask this is the normalizing permutation.
     """
     assert src_mask.bit_count() == dst_mask.bit_count()
-
-    def order(mask: int) -> list[int]:
-        return ([i for i in range(n) if mask >> i & 1]
-                + [i for i in range(n) if not mask >> i & 1])
-
     perm = [0] * n
-    for i, j in zip(order(src_mask), order(dst_mask)):
+    for i, j in zip(support_order(n, src_mask), support_order(n, dst_mask)):
         perm[i] = j + 1
     return tuple(perm)
 

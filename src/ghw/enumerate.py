@@ -28,7 +28,6 @@ from .core import (
     GhwPresentation,
     SignVector,
     TranslationClass,
-    _annihilator,
     _basis_of,
     _require_valid,
 )
@@ -121,10 +120,6 @@ class CensusEntry:
     @property
     def key_hex(self) -> str:
         return self.key.hex()
-
-    @property
-    def support_mask(self) -> int:
-        return sum(1 << (i - 1) for i in self.support)
 
     @cached_property
     def presentation(self) -> GhwPresentation:
@@ -274,7 +269,7 @@ def _check_cap(n: int) -> None:
 
 
 def _check_run_limits(budget: float | None, workers: int) -> None:
-    if budget is not None and budget <= 0:
+    if budget is not None and not budget > 0:
         raise ValueError("budget must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -356,9 +351,13 @@ def census_to_jsonl(census: Census) -> str:
     return "".join(_entry_json(e) + "\n" for e in census.entries)
 
 
-def _coordinates_mask(coords) -> int:
+def _coordinates_mask(coords, n: int) -> int:
+    """The mask of increasing coordinates, each an int in 1..n."""
     if coords != sorted(set(coords)):
         raise ValueError(f"coordinates {coords!r} are not increasing")
+    for i in coords:
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"coordinate {i!r} is outside 1..{n}")
     return sum(1 << (i - 1) for i in coords)
 
 
@@ -371,17 +370,17 @@ def _checked_generators(n: int, obj: dict):
     reduced ranks of the table torsion-free.
     """
     try:
-        gens = tuple((_coordinates_mask(g["flips"]),
-                      _coordinates_mask(g["halves"]))
+        gens = tuple((_coordinates_mask(g["flips"], n),
+                      _coordinates_mask(g["halves"], n))
                      for g in obj["generators"])
     except (LookupError, TypeError, ValueError):
         return None
-    if len(gens) != n - 1 or any((f | h) >> n for f, h in gens):
+    if len(gens) != n - 1:
         return None
-    lams = _kernels.generator_functionals(n, gens)
-    if lams is None:
+    found = _kernels.generator_functionals(n, gens)
+    if found is None:
         return None
-    sigma = _annihilator(n, [f for f, _ in gens])
+    sigma, lams = found
     if not sigma.bit_count() & 1:
         return None
     tab, ranks = _kernels.functional_ranks(n, sigma, lams)
@@ -395,8 +394,8 @@ def _refusal(n: int, obj: dict) -> ValueError:
     the words of the presentation they build."""
     try:
         p = GhwPresentation(n, [
-            (SignVector(n, _coordinates_mask(g["flips"])),
-             TranslationClass(n, _coordinates_mask(g["halves"])))
+            (SignVector(n, _coordinates_mask(g["flips"], n)),
+             TranslationClass(n, _coordinates_mask(g["halves"], n)))
             for g in obj["generators"]
         ])
     except (GhwError, LookupError, TypeError, ValueError) as exc:

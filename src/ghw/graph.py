@@ -190,8 +190,7 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     for d in range(3, max_dim + 1):
         lower_keys = {e.key for e in by_dim[d - 1].entries}
         for entry in by_dim[d].entries:
-            sigma = entry.support_mask
-            lams = _kernels.generator_functionals(d, entry.gens)
+            sigma, lams = _kernels.generator_functionals(d, entry.gens)
             first_by_target: dict[bytes, ReductionChoice] = {}
             for choice in _reductions(d, sigma, lams, keys):
                 if choice.key not in first_by_target:

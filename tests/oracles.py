@@ -8,7 +8,8 @@ plain minimum and the fixing permutations over relabelings of kernel
 tables, the support-preserving permutation list, the least position-0
 value per old coordinate and rank, the Betti character average term by
 term, a scan of ker f for the blocked coordinates and normal witnesses of
-a reduction, random generator tables, and a fraction-free determinant.
+a reduction, the half-step functionals read off a cocycle table at a basis
+of its span, random generator tables, and a fraction-free determinant.
 None of it imports the package, except ``brute_reduction_outcomes``,
 which replays the public ``reduce`` on every (functional, coordinate)
 pair as the slow reference for ``list_reductions``; ``brute_h1_order``,
@@ -445,6 +446,20 @@ def brute_annihilators(n: int, masks) -> list[int]:
     masks = list(masks)
     return [sigma for sigma in range(1, 1 << n)
             if all(bin(sigma & m).count("1") % 2 == 0 for m in masks)]
+
+
+def table_functionals(n: int, sigma: int, table: dict[int, int]) -> list[int]:
+    """Per coordinate c, a mask lam[c] whose parity against each m of the
+    span H (annihilated by sigma) is bit c of table[m], with its lowest
+    support bit clear.
+
+    The table is linear on H, so it is read on a basis of H: e_j off the
+    support, and e_j + e_low for each other support coordinate j.
+    """
+    low = sigma & -sigma
+    vals = [table[1 << j ^ (low if sigma >> j & 1 else 0)] for j in range(n)]
+    return [sum((v >> c & 1) << j for j, v in enumerate(vals))
+            for c in range(n)]
 
 
 def kernel_cut(p, f: int) -> tuple[list[int], int]:

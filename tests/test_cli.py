@@ -248,7 +248,8 @@ class TestConstructions:
     ("table", "--max-dim", "3"),
     ("graph", "--max-dim", "3"),
 ])
-@pytest.mark.parametrize("limit", [("--workers", "0"), ("--budget", "0")])
+@pytest.mark.parametrize("limit", [("--workers", "0"), ("--budget", "0"),
+                                   ("--budget", "nan")])
 def test_run_limits_rejected(capsys, argv, limit):
     code, out, err = run(capsys, *argv, *limit)
     assert code == 1

@@ -31,9 +31,12 @@ from ghw.constructions import (
     semidirect_minus_id,
     _unblocked_pairs,
 )
-from ghw._kernels import cocycle_functionals
-
-from oracles import brute_list_reductions, brute_reduction_outcomes, kernel_cut
+from oracles import (
+    brute_list_reductions,
+    brute_reduction_outcomes,
+    kernel_cut,
+    table_functionals,
+)
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 KLEIN_KEY = bytes.fromhex("02010200")
@@ -186,17 +189,20 @@ class TestListReductions:
     @pytest.mark.parametrize("n,every_f", [(3, 1), (4, 2), (5, 8), (6, 3)])
     def test_tried_pairs_are_the_successes(self, n, every_f):
         # the pairs read off the half-step functionals are exactly those
-        # where reduce succeeds, on each entry and on its shift by the full
-        # coboundary (which swaps a column 0 on H with e_c); every_f counts
-        # the entries' coordinates whose column is 0 or e_c on H (found by a
-        # scan), where every functional is tried
+        # where reduce succeeds, and those the table's own functionals give,
+        # on each entry and on its shift by the full coboundary (which
+        # swaps a column 0 on H with e_c); every_f counts the entries'
+        # coordinates whose column is 0 or e_c on H (found by a scan),
+        # where every functional is tried
         reached = 0
         for e in cached_census(n).entries[::25 if n == 6 else 1]:
             for p in (e.presentation,
                       apply_coboundary(e.presentation, (1 << n) - 1)):
-                s = p.s_by_mask
-                tried = {(f, c + 1) for f, c in _unblocked_pairs(
-                    n, p.support_mask, cocycle_functionals(p))}
+                s, sigma = p.s_by_mask, p.support_mask
+                tried = {(f, c + 1)
+                         for f, c in _unblocked_pairs(n, sigma, p.lams)}
+                assert tried == {(f, c + 1) for f, c in _unblocked_pairs(
+                    n, sigma, table_functionals(n, sigma, s))}
                 outcomes = brute_reduction_outcomes(p)
                 assert tried == {fc for fc, out in outcomes.items()
                                  if isinstance(out, bytes)}

@@ -130,7 +130,7 @@ def test_lean_fields_match_presentation(n):
             assert p == q
             assert validate_ghw(p).verdict
             assert canonical_key(p) == e.key
-            assert (e.support, e.support_mask) == (p.support, p.support_mask)
+            assert e.support == p.support
             assert e.beta1 == first_betti(p)
             assert e.orientable == orientable(p)
             assert e.betti == betti_vector(p)
@@ -308,9 +308,9 @@ class TestJsonlChecks:
         (4, 3, [([2], [1]), ([2], [3]), ([1, 3], [4])],
          "sign vector +-++ lies in the span of its predecessors"),
         (4, 3, [([5], [1]), ([2], [3]), ([1, 3], [4])],
-         "mask 0x10 does not fit in 4 coordinates"),
+         "coordinate 5 is outside 1..4"),
         (4, 3, [([2], [7]), ([3], [1]), ([1, 3], [4])],
-         "mask 0x40 does not fit in 4 coordinates"),
+         "coordinate 7 is outside 1..4"),
         (4, 3, [([2], [1]), ([3], [1])], "expected 3 generators, got 2"),
     ])
     def test_refused_generators_text(self, n, line, gens, reason):
@@ -320,6 +320,19 @@ class TestJsonlChecks:
         with pytest.raises(ValueError) as info:
             census_from_jsonl(text)
         assert str(info.value) == f"census line {line}: generators: {reason}"
+
+    @pytest.mark.parametrize("field", ["flips", "halves"])
+    @pytest.mark.parametrize("coordinate", [10 ** 8, 0, -3, True, 1.5])
+    def test_coordinate_outside_range(self, field, coordinate):
+        # A coordinate that is not an int in 1..n is refused before it is
+        # shifted into a mask, in a short text.
+        text = _edited(4, 2, lambda obj: obj["generators"][0].update(
+            {field: [coordinate]}))
+        with pytest.raises(ValueError) as info:
+            census_from_jsonl(text)
+        assert str(info.value) == ("census line 3: generators: coordinate "
+                                   f"{coordinate!r} is outside 1..4")
+        assert len(str(info.value)) < 100
 
     @pytest.mark.parametrize("n", range(3, 8))
     @pytest.mark.parametrize("odd_span", [True, False])
@@ -411,7 +424,8 @@ class TestCensuses:
         assert sorted(found) == [2, 3, 4, 5]
         assert all(c is cached_census(n) for n, c in found.items())
 
-    @pytest.mark.parametrize("limits", [{"workers": 0}, {"budget": 0}])
+    @pytest.mark.parametrize("limits", [{"workers": 0}, {"budget": 0},
+                                        {"budget": float("nan")}])
     def test_limits_checked_before_any_dimension(self, monkeypatch, limits):
         import ghw.enumerate as enum_mod
 

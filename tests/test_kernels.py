@@ -30,6 +30,7 @@ from ghw.core import (
 from ghw.enumerate import cached_census, canonical_key
 
 from oracles import (
+    brute_annihilators,
     brute_canonical,
     brute_first_position,
     brute_least,
@@ -38,6 +39,7 @@ from oracles import (
     brute_table_stabilizer,
     presentation_from_columns,
     random_generators,
+    table_functionals,
 )
 
 CELLS = [(n, k) for n in range(2, 7) for k in range(1, n + 1, 2)]
@@ -266,17 +268,28 @@ def test_first_position_matches_brute(n):
                     assert set(perms) == hits, (k, d, i, r)
 
 
+def _assert_functionals_match_table(p, sigma, lams):
+    """The one elimination's support and functionals against a scan for
+    the annihilator of the flips and the table reading of the cocycle: each
+    functional is the table's modulo sigma, both rank alike, and the
+    presentation holds the same pair."""
+    n = p.n
+    assert brute_annihilators(n, [sv.flips for sv, _ in p.gens]) == [sigma]
+    want = table_functionals(n, sigma, p.s_by_mask)
+    assert all(lam ^ w in (0, sigma) for lam, w in zip(lams, want)), p
+    assert (p.support_mask, p.lams) == (sigma, lams)
+    assert normalized_ranks(p) == _kernels.functional_ranks(n, sigma, want)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_lean_ranks_match_presentation_on_census(n):
     # Census entries reduce and read through generator_functionals and the
-    # rank torsion test; both against the presentation's own route.
+    # rank torsion test; both against the table reading.
     for e in cached_census(n).entries:
         p = e.presentation
-        tab, ranks = normalized_ranks(p)
-        lams = _kernels.generator_functionals(n, e.gens)
-        assert _kernels.functional_ranks(n, e.support_mask, lams) == (
-            tab, ranks)
-        assert _kernels.torsion_free(tab, ranks)
+        _assert_functionals_match_table(
+            p, *_kernels.generator_functionals(n, e.gens))
+        assert _kernels.torsion_free(*normalized_ranks(p))
         assert is_torsion_free(p)
 
 
@@ -288,12 +301,10 @@ def test_torsion_free_matches_core_on_random_tables(n):
         gens = random_generators(rng, n)
         p = GhwPresentation(n, [(SignVector(n, f), TranslationClass(n, h))
                                 for f, h in gens])
-        tab, ranks = normalized_ranks(p)
-        lams = _kernels.generator_functionals(n, gens)
-        assert _kernels.functional_ranks(n, p.support_mask, lams) == (
-            tab, ranks)
+        _assert_functionals_match_table(
+            p, *_kernels.generator_functionals(n, gens))
         free = is_torsion_free(p)
-        assert _kernels.torsion_free(tab, ranks) == free
+        assert _kernels.torsion_free(*normalized_ranks(p)) == free
         outcomes.add(free)
     assert False in outcomes
 
