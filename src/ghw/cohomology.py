@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GhwPresentation, first_betti, _require_valid
+from .core import GhwPresentation, _fields, _require_valid
 
 __all__ = [
     "SnfResult",
@@ -173,7 +173,7 @@ def h1_order(p: GhwPresentation) -> int:
     number of trivial characters.
     """
     _require_valid(p)
-    return 1 << (p.n - first_betti(p))
+    return _fields(p.n, p.support_mask)["h1_order"]
 
 
 def h1_closed_form(p: GhwPresentation) -> int:

@@ -18,14 +18,15 @@ from .core import (
     DependentGenerators,
     GhwError,
     GhwPresentation,
-    InvalidPresentation,
     SignVector,
     TranslationClass,
     expand_cocycle,
     find_torsion_element,
+    first_betti,
     orientable,
     permute_coordinates,
     _basis_of,
+    _require_valid,
     _support_alignment,
 )
 from .enumerate import _canonical_bytes
@@ -295,8 +296,7 @@ def reduce(
     (dependent images or a central total flip), which raises
     ReductionNotGhw.
     """
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
+    _require_valid(p)
     n = p.n
     if n < 3:
         raise ValueError("cannot reduce below dimension 2")
@@ -390,8 +390,7 @@ def list_reductions(
 ) -> tuple[ReductionChoice, ...]:
     """Enumerate every admissible one-step reduction of p: _reductions of
     its support and cocycle functionals, with _keys as its key memo."""
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
+    _require_valid(p)
     if p.n < 3:
         raise ValueError("cannot reduce below dimension 2")
     return _reductions(p.n, p.support_mask, p.lams, _keys)
@@ -462,8 +461,7 @@ def embed_up_exist(
     the new coordinate.  Reducing the result at the new coordinate along
     the kernel of the new cocycle entry restores p's table exactly.
     """
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
+    _require_valid(p)
     n = p.n
     if coordinate is None:
         coordinate = min(p.support)
@@ -494,8 +492,7 @@ def semidirect_minus_id(p: GhwPresentation) -> GhwPresentation:
     full support.  The result has full support one dimension up, and
     reducing at the new coordinate restores p's table.
     """
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
+    _require_valid(p)
     if not orientable(p):
         raise NotOriented("input must be orientable")
     n = p.n
@@ -541,8 +538,7 @@ def embed_up_mono(p: GhwPresentation) -> MonoEmbedding:
     gains a translation entry of 1 there, while the copy keeps that
     entry at 0, so the copy is not normal.
     """
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
+    _require_valid(p)
     n = p.n
     if p != gamma_group(n):
         raise NotGammaFamily(
@@ -600,11 +596,10 @@ def didicosm_witness(p: GhwPresentation) -> DidicosmWitness:
     with nonzero first Betti number are rejected up front: a centralizing
     translation would survive into any subgroup of finite index.
     """
-    if not p.valid:
-        raise InvalidPresentation(p.report.reason)
+    _require_valid(p)
     n = p.n
     full = (1 << n) - 1
-    if len(p.support) <= 1:
+    if first_betti(p):
         raise NoWitness("positive first Betti number leaves no such subgroup")
     # Generator masks go first so a group that is itself three-dimensional
     # comes back with its own generating pair.

@@ -14,6 +14,7 @@ to coordinate i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._kernels import generator_functionals, support_order
 
@@ -202,6 +203,11 @@ def expand_cocycle(gens) -> dict[int, int]:
     return table
 
 
+def _coordinates(mask: int) -> tuple[int, ...]:
+    """The 1-based coordinates of a mask's set bits, increasing."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _basis_of(masks) -> list[int]:
     """Greedy basis of the span of masks, scanning them in sorted order."""
     basis: list[int] = []
@@ -249,7 +255,7 @@ class GhwPresentation:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.support_mask >> i & 1)
+        return _coordinates(self.support_mask)
 
     def s(self, element) -> TranslationClass:
         """Cocycle value on an element of H, given as a mask or SignVector."""
@@ -398,6 +404,23 @@ def _require_valid(p: GhwPresentation) -> None:
         raise InvalidPresentation(p.report.reason or "invalid presentation")
 
 
+@lru_cache(maxsize=None)
+def _fields(n: int, sigma: int) -> dict:
+    """The invariants of a valid group of dimension n with support mask
+    sigma, in closed form: support, b1 (1 for a singleton support),
+    orientable (full support), Betti numbers (derived in homology) and
+    |H^1| = 2^(n - b1) (derived in cohomology). Shared; do not mutate."""
+    k = sigma.bit_count()
+    beta1 = 1 if k == 1 else 0
+    return {
+        "support": _coordinates(sigma),
+        "beta1": beta1,
+        "orientable": k == n,
+        "betti": tuple(int(j in (0, k)) for j in range(n + 1)),
+        "h1_order": 1 << (n - beta1),
+    }
+
+
 def characters(p: GhwPresentation) -> tuple[tuple[int, ...], ...]:
     """The n coordinate characters on H, as +-1 rows over sorted elements."""
     _require_valid(p)
@@ -409,13 +432,13 @@ def characters(p: GhwPresentation) -> tuple[tuple[int, ...], ...]:
 def first_betti(p: GhwPresentation) -> int:
     """Number of trivial coordinate characters: 1 for singleton support, else 0."""
     _require_valid(p)
-    return 1 if p.support_mask.bit_count() == 1 else 0
+    return _fields(p.n, p.support_mask)["beta1"]
 
 
 def orientable(p: GhwPresentation) -> bool:
     """True when every element has an even flip count (full support, odd n)."""
     _require_valid(p)
-    return p.support_mask == (1 << p.n) - 1
+    return _fields(p.n, p.support_mask)["orientable"]
 
 
 def has_nontrivial_center(p: GhwPresentation) -> bool:

@@ -29,6 +29,8 @@ from .core import (
     SignVector,
     TranslationClass,
     _basis_of,
+    _coordinates,
+    _fields,
     _require_valid,
 )
 
@@ -161,23 +163,6 @@ class Census:
     @property
     def orientable_count(self) -> int:
         return sum(1 for e in self.entries if e.orientable)
-
-
-@lru_cache(maxsize=None)
-def _fields(n: int, sigma: int) -> dict:
-    """The entry fields that a valid group of dimension n with support mask
-    sigma has: b1 is 1 exactly for a singleton support, the Betti numbers
-    are 1 in degrees 0 and k (homology.betti_vector), and |H^1| is
-    2^(n - b1) (cohomology.h1_order). Shared; do not mutate."""
-    k = sigma.bit_count()
-    beta1 = 1 if k == 1 else 0
-    return {
-        "support": tuple(i + 1 for i in range(n) if sigma >> i & 1),
-        "beta1": beta1,
-        "orientable": k == n,
-        "betti": tuple(int(j in (0, k)) for j in range(n + 1)),
-        "h1_order": 1 << (n - beta1),
-    }
 
 
 @lru_cache(maxsize=None)
@@ -324,14 +309,10 @@ def census_table(
     ]
 
 
-def _coordinates(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _entry_json(e: CensusEntry) -> str:
     obj = {
         "dim": e.n,
-        "support": list(e.support),
+        "support": e.support,
         "generators": [
             {"flips": _coordinates(f), "halves": _coordinates(h)}
             for f, h in e.gens
@@ -339,7 +320,7 @@ def _entry_json(e: CensusEntry) -> str:
         "canonical_key": e.key.hex(),
         "beta1": e.beta1,
         "orientable": e.orientable,
-        "betti": list(e.betti),
+        "betti": e.betti,
         "h1_order": e.h1_order,
         "out_order": e.out_order,
     }
@@ -404,6 +385,14 @@ def _refusal(n: int, obj: dict) -> ValueError:
     return ValueError(f"generators: {p.report.reason}")
 
 
+def _typed(value):
+    """value with each item paired with its type, a tuple as a list: a
+    field equals what json.loads reads back, while 1, 1.0 and true differ."""
+    if isinstance(value, (list, tuple)):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
 def _entry_from_json(obj: dict) -> CensusEntry:
     """One census entry, checked against every field its generators fix.
 
@@ -426,7 +415,7 @@ def _entry_from_json(obj: dict) -> CensusEntry:
         raise ValueError("canonical_key is not the key of the generators")
     fields = _fields(n, sigma)
     for name, value in fields.items():
-        if obj[name] != (list(value) if isinstance(value, tuple) else value):
+        if _typed(obj[name]) != _typed(value):
             raise ValueError(f"{name} {obj[name]!r} differs from {value!r}, "
                              "which the generators give")
     out = obj["out_order"]

@@ -64,7 +64,7 @@ _DIM3_NAMES = ("+a2", "-a2")
 _DIM3_ORIENTED = "c22"
 
 
-def _vertex_name(dim: int, index: int, beta1: int, orient: bool,
+def _vertex_name(dim: int, index: int, orient: bool,
                  beta1_one_seen: int) -> str:
     if dim == 2:
         return _DIM2_NAME
@@ -126,38 +126,32 @@ class GhwGraph:
         v = self.vertex(key)
         return sum(1 for k in self._adj[key] if self._by_key[k].dim > v.dim)
 
+    def _reached(self, start: bytes, target: Optional[bytes] = None) -> dict:
+        """Breadth-first distances from start over its component, stopping
+        once target has one."""
+        seen = {start: 0}
+        queue = deque([start])
+        while queue and target not in seen:
+            cur = queue.popleft()
+            for nxt in self._adj[cur]:
+                if nxt not in seen:
+                    seen[nxt] = seen[cur] + 1
+                    queue.append(nxt)
+        return seen
+
     def distance(self, a: bytes, b: bytes) -> int:
         a, b = self._key_of(a), self._key_of(b)
         self.vertex(a)
         self.vertex(b)
-        if a == b:
-            return 0
-        seen = {a: 0}
-        queue = deque([a])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._adj[cur]:
-                if nxt in seen:
-                    continue
-                seen[nxt] = seen[cur] + 1
-                if nxt == b:
-                    return seen[nxt]
-                queue.append(nxt)
-        raise Disconnected(f"no path from {a.hex()} to {b.hex()}")
+        try:
+            return self._reached(a, b)[b]
+        except KeyError:
+            raise Disconnected(f"no path from {a.hex()} to {b.hex()}") from None
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        start = self.vertices[0].key
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(self.vertices)
+        return len(self._reached(self.vertices[0].key)) == len(self.vertices)
 
 
 def build_graph(max_dim: int, *, long_mode: bool = False,
@@ -179,8 +173,7 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     for d in range(2, max_dim + 1):
         seen_open = 0
         for idx, entry in enumerate(by_dim[d].entries):
-            name = _vertex_name(d, idx, entry.beta1, entry.orientable,
-                                seen_open)
+            name = _vertex_name(d, idx, entry.orientable, seen_open)
             if d == 3 and not entry.orientable:
                 seen_open += 1
             vertices.append(Vertex(d, entry.key, name, entry.beta1))
@@ -188,7 +181,6 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     edges = []
     keys: dict = {}  # _reductions' key memo, for this build only
     for d in range(3, max_dim + 1):
-        lower_keys = {e.key for e in by_dim[d - 1].entries}
         for entry in by_dim[d].entries:
             sigma, lams = _kernels.generator_functionals(d, entry.gens)
             first_by_target: dict[bytes, ReductionChoice] = {}
@@ -197,7 +189,7 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
                     first_by_target[choice.key] = choice
             assert first_by_target, "every vertex must reduce somewhere"
             for target_key in sorted(first_by_target):
-                assert target_key in lower_keys, "reduction left the census"
+                assert target_key in by_dim[d - 1], "reduction left the census"
                 choice = first_by_target[target_key]
                 edges.append(Edge(
                     upper=entry.key,

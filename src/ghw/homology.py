@@ -15,7 +15,7 @@ term.
 
 from __future__ import annotations
 
-from .core import GhwPresentation, _require_valid
+from .core import GhwPresentation, _fields, _require_valid
 
 __all__ = [
     "exterior_invariant_dim",
@@ -27,8 +27,7 @@ __all__ = [
 def betti_vector(p: GhwPresentation) -> tuple[int, ...]:
     """All Betti numbers b_0..b_n: 1 in degrees 0 and k, 0 elsewhere."""
     _require_valid(p)
-    k = p.support_mask.bit_count()
-    return tuple(int(j in (0, k)) for j in range(p.n + 1))
+    return _fields(p.n, p.support_mask)["betti"]
 
 
 def exterior_invariant_dim(p: GhwPresentation, j: int) -> int:

@@ -39,7 +39,12 @@ from ghw.enumerate import (
 from ghw.constructions import gamma_group, klein_group
 from ghw.homology import betti_vector
 
-from oracles import presentation_from_columns, random_generators
+from oracles import (
+    brute_betti_vector,
+    brute_h1_order,
+    presentation_from_columns,
+    random_generators,
+)
 
 DIDICOSM_KEY = bytes.fromhex("03030a0606")
 
@@ -117,8 +122,9 @@ def test_keys_scramble_invariant_sample():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_lean_fields_match_presentation(n):
     # Entries are built from the leaf columns without a presentation; each
-    # field against what the presentation gives, and the presentation
-    # against the one a leaf's columns rebuild.
+    # field against what the presentation gives and against an oracle that
+    # shares no code with core._fields, and the presentation against the
+    # one a leaf's columns rebuild.
     c = cached_census(n)
     seen = 0
     for k in range(1, n + 1, 2):
@@ -137,6 +143,13 @@ def test_lean_fields_match_presentation(n):
             assert e.h1_order == h1_order(p)
             assert 2 * normalizer_stabilizer_order(p) * h1_order(p) == (
                 e.out_order)
+            betti = brute_betti_vector(n, p.support_mask)
+            assert e.betti == betti
+            assert e.beta1 == betti[1]
+            assert e.h1_order == brute_h1_order(
+                n, tuple(sv.flips for sv, _ in p.gens))
+            assert e.orientable == all(
+                m.bit_count() % 2 == 0 for m in p.elements)
             seen += 1
     assert seen == len(c)
 
@@ -273,6 +286,26 @@ class TestJsonlChecks:
         i = _didicosm_line()
         _rejected(_edited(3, i, lambda obj: obj.update({field: value})),
                   i + 1, field)
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", True),
+        ("h1_order", 4.0),
+        ("orientable", 0),
+        ("betti", [1.0, 1.0, 0.0, 0.0]),
+        ("support", [1.0]),
+    ])
+    def test_derived_field_of_another_type(self, field, value):
+        # Each value equals the field under == but is another JSON type, so
+        # writing the census back would not give the bytes that were read.
+        e = cached_census(3).entries[0]
+        assert (e.support, e.beta1, e.betti, e.h1_order) == (
+            (1,), 1, (1, 1, 0, 0), 4) and not e.orientable
+        with pytest.raises(ValueError) as info:
+            census_from_jsonl(
+                _edited(3, 0, lambda obj: obj.update({field: value})))
+        assert str(info.value) == (
+            f"census line 1: {field} {value!r} differs from "
+            f"{getattr(e, field)!r}, which the generators give")
 
     def test_out_order_multiple_accepted(self):
         # out_order is checked for its shape only: 2 * h1_order times a
