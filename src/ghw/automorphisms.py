@@ -10,8 +10,8 @@ fixing the cocycle class up to coboundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from . import _kernels
 from .cohomology import h1_order
@@ -20,8 +20,7 @@ from .core import GhwPresentation, first_betti, _require_valid
 __all__ = ["OutReport", "normalizer_stabilizer_order", "out_order"]
 
 
-@dataclass(frozen=True)
-class OutReport:
+class OutReport(NamedTuple):
     h1_order: int
     perm_stabilizer_order: int
     n_alpha_quotient_order: int

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache, partial
 
 from . import automorphisms, constructions, core, enumerate as enum_mod, graph as graph_mod
@@ -226,7 +225,7 @@ def cmd_didicosm_witness(p, args) -> dict:
 
 
 def cmd_out_order(p, args) -> dict:
-    return asdict(automorphisms.out_order(p))
+    return automorphisms.out_order(p)._asdict()
 
 
 def cmd_isomorphic(p, args) -> dict:

@@ -11,7 +11,7 @@ witness uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import GhwPresentation, _fields, _require_valid
 
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Decomposition left @ matrix @ right = diag(diagonal), both transforms
     unimodular, diagonal entries positive with each dividing the next."""
 

@@ -9,8 +9,7 @@ becomes 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import _kernels
 from .cohomology import smith_normal_form, solve_integer
@@ -156,23 +155,26 @@ def gamma_group(n: int) -> GhwPresentation:
 # representation extension and realization
 
 
-@dataclass(frozen=True)
-class RepresentationSpec:
-    """Diagonal integral representation given by independent sign vectors.
-
-    The span must not contain the total flip, otherwise no torsion-free
-    lift can exist over any lattice containing Z^n.
-    """
-
+class _SpecFields(NamedTuple):
     n: int
     flip_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.n
+
+class RepresentationSpec(_SpecFields):
+    """Diagonal integral representation given by independent sign vectors.
+
+    The span must not contain the total flip, otherwise no torsion-free
+    lift can exist over any lattice containing Z^n; so the rank is at
+    most n - 1, as n independent masks span every mask.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, flip_masks):
         if n < 2:
             raise InvalidSpec("dimension must be at least 2")
-        masks = tuple(getattr(m, "flips", m) for m in self.flip_masks)
-        object.__setattr__(self, "flip_masks", masks)
+        masks = tuple(getattr(m, "flips", m) for m in flip_masks)
+        self = super().__new__(cls, n, masks)
         full = (1 << n) - 1
         for m in masks:
             if not 0 < m <= full:
@@ -182,8 +184,12 @@ class RepresentationSpec:
             raise InvalidSpec("sign vectors are not independent")
         if full in span:
             raise InvalidSpec("the total flip lies in the span")
-        if len(masks) > n - 1:
-            raise InvalidSpec("rank exceeds n - 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # tuple.__new__ would skip the checks; _replace comes through here.
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -363,8 +369,7 @@ def _drop_coordinate(p, basis: list[int], coordinate: int) -> GhwPresentation:
     return q
 
 
-@dataclass(frozen=True, order=True)
-class ReductionChoice:
+class ReductionChoice(NamedTuple):
     """One admissible reduction: functional, coordinate, resulting key."""
 
     functional: int
@@ -511,8 +516,7 @@ def semidirect_minus_id(p: GhwPresentation) -> GhwPresentation:
     return q
 
 
-@dataclass(frozen=True)
-class MonoEmbedding:
+class MonoEmbedding(NamedTuple):
     """A non-normal copy of one gamma family group inside the next.
 
     ``images`` are the generator images; ``escaped`` is an explicit
@@ -570,8 +574,7 @@ def embed_up_mono(p: GhwPresentation) -> MonoEmbedding:
 # didicosm witness
 
 
-@dataclass(frozen=True)
-class DidicosmWitness:
+class DidicosmWitness(NamedTuple):
     """Two holonomy elements generating a didicosm subgroup.
 
     Verification data: the Schreier generators of the intersection with

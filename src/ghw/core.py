@@ -13,8 +13,8 @@ to coordinate i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._kernels import generator_functionals, support_order
 
@@ -305,8 +305,7 @@ class GhwPresentation:
         return f"GhwPresentation.from_literal({self.to_literal()!r})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validate_ghw.
 
     normalizing_permutation sends old coordinate i (1-based) to position
@@ -506,6 +505,12 @@ def apply_coboundary(p: GhwPresentation, shift_mask: int) -> GhwPresentation:
 # Signs over {+,-}, translations over {0,H}, one sign and one translation
 # string of length N per generator, comma separated.
 
+_DIGITS = "0123456789"
+# Far above any dimension, and far below the length at which int() of a
+# digit string raises ValueError.
+_INT_DIGITS = 18
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
@@ -532,13 +537,17 @@ class _Cursor:
         self.pos += len(token)
 
     def read_int(self) -> int:
+        """A run of ASCII digits with at most _INT_DIGITS significant ones."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos].lstrip("0")
+        if len(digits) > _INT_DIGITS:
+            self.fail(f"integer has more than {_INT_DIGITS} digits", start)
+        return int(digits or "0")
 
     def read_run(self, alphabet: str, what: str) -> tuple[str, int]:
         self.skip_ws()

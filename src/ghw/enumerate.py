@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import factorial
+from typing import NamedTuple
 
 from . import _kernels
 from .core import (
@@ -101,14 +100,7 @@ def are_isomorphic(p: GhwPresentation, q: GhwPresentation) -> bool:
     return canonical_key(p) == canonical_key(q)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    """One class: its generators as (flips, halves) mask pairs, its key,
-    the invariants its dimension and support fix, and out_order.
-
-    The presentation is built on first access.
-    """
-
+class _EntryFields(NamedTuple):
     n: int
     gens: tuple[tuple[int, int], ...]
     key: bytes
@@ -118,6 +110,15 @@ class CensusEntry:
     betti: tuple[int, ...]
     h1_order: int
     out_order: int
+
+
+class CensusEntry(_EntryFields):
+    """One class: its generators as (flips, halves) mask pairs, its key,
+    the invariants its dimension and support fix, and out_order.
+
+    The presentation is built on first access, and cached in the
+    instance dict that this subclass keeps by declaring no __slots__.
+    """
 
     @property
     def key_hex(self) -> str:
@@ -231,7 +232,13 @@ def enumerate_census(
     sizes = [len(s) for s in hyperplane_classes(n)]
     procs = min(workers, len(sizes))
     entries = []
-    with ProcessPoolExecutor(procs) if procs > 1 else nullcontext() as pool:
+    if procs > 1:
+        # Only a run with workers loads the process pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        workers_context = ProcessPoolExecutor(procs)
+    else:
+        workers_context = nullcontext()
+    with workers_context as pool:
         run = map if pool is None else pool.map
         batches = run(_support_entries, repeat(n), sizes, repeat(deadline))
         for k, batch in zip(sizes, batches):

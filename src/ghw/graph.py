@@ -9,8 +9,7 @@ deterministic byte-for-byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels
 from .constructions import ReductionChoice, _reductions
@@ -26,8 +25,7 @@ class Disconnected(GhwError):
     """No path between the queried vertices."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     dim: int
     key: bytes
     name: str
@@ -38,8 +36,7 @@ class Vertex:
         return self.key.hex()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Undirected edge, stored from the higher dimension downward.
 
     ``witness`` is the reduction choice sending the upper group onto a

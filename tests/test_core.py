@@ -133,6 +133,23 @@ class TestParseFormat:
             parse_group(f"\n  dim = {n}; gens=" + ",".join([gen] * (n - 1)))
         assert (info.value.line, info.value.column) == (2, 9)
 
+    @pytest.mark.parametrize("dim, text", [
+        ("\u00b2", "expected an integer (line 1, column 5)"),
+        ("\u0663", "expected an integer (line 1, column 5)"),
+        ("3\u0663", "expected ';' (line 1, column 6)"),
+        ("9" * 5000, "integer has more than 18 digits (line 1, column 5)"),
+        ("1" * 19, "integer has more than 18 digits (line 1, column 5)"),
+    ])
+    def test_dimension_reads_ascii_digits_only(self, dim, text):
+        with pytest.raises(ParseError) as info:
+            parse_group(f"dim={dim}; gens=+--:HH0,-+-:0HH")
+        assert str(info.value) == text
+
+    def test_leading_zeros_are_not_significant(self):
+        assert parse_group("dim=" + "0" * 30 + "3; gens=+--:HH0,-+-:0HH") == didicosm()
+        with pytest.raises(ParseError, match=f"dimension 1{'0' * 17} exceeds"):
+            parse_group("dim=001" + "0" * 17 + "; gens=")
+
     def test_cap_holds_without_generators(self):
         with pytest.raises(ParseError, match="cap"):
             parse_group(f"dim={MAX_DIM + 1}; gens=")
