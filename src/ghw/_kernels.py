@@ -252,7 +252,8 @@ def functional_ranks(n: int, support_mask: int, lams):
 def generator_functionals(n: int, gens):
     """The support mask sigma and half-step functionals lams of a table
     given by n - 1 (flips, halves) generator pairs, as (sigma, lams), or
-    None when the flips are dependent.
+    the index of the first generator whose flips lie in the span of its
+    predecessors.
 
     sigma is the unique nonzero functional vanishing on the span H of the
     flips; the parity of lams[c] against each m of H is bit c of the
@@ -264,13 +265,13 @@ def generator_functionals(n: int, gens):
     bit p of lams[c] is bit c of the halves of the row with pivot p.
     """
     rows: dict[int, tuple[int, int]] = {}
-    for f, h in gens:
+    for i, (f, h) in enumerate(gens):
         for pivot, (rf, rh) in rows.items():
             if f & pivot:
                 f ^= rf
                 h ^= rh
         if not f:
-            return None
+            return i
         pivot = f & -f
         rows = {q: (rf ^ f, rh ^ h) if rf & pivot else (rf, rh)
                 for q, (rf, rh) in rows.items()}

@@ -34,12 +34,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _natural(text: str) -> int:
+    """The type of every integer flag: ASCII digits, as in a group literal."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError("expected an integer of ASCII digits")
+    if len(text.lstrip("0")) > core._INT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"integer has more than {core._INT_DIGITS} digits")
+    return int(text)
+
+
+def _flip_masks(text: str) -> tuple[int, ...]:
+    return tuple(_natural(tok) for tok in text.split(","))
+
+
 def _dimension(text: str) -> int:
     """The type of every dimension flag: an integer in 2..MAX_DIM."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    n = _natural(text)
     if not 2 <= n <= MAX_DIM:
         raise argparse.ArgumentTypeError(
             f"dimension {n} is outside 2..{MAX_DIM}; the cap is {MAX_DIM}")
@@ -70,7 +81,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="allow long-running dimensions (6 and up)")
         p.add_argument("--budget", type=float, default=None,
                        help="time budget in seconds for long mode")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_natural, default=1,
                        help="process count for enumeration")
 
     p = command("enumerate", "write one census as JSON lines", cmd_enumerate)
@@ -92,21 +103,21 @@ def _parser() -> argparse.ArgumentParser:
     census_opts(p)
 
     p = command("reduce", "delete one coordinate", cmd_reduce, reads_group=True)
-    p.add_argument("--coordinate", type=int, required=True)
-    p.add_argument("--functional", type=int, default=None,
+    p.add_argument("--coordinate", type=_natural, required=True)
+    p.add_argument("--functional", type=_natural, default=None,
                    help="index-two subgroup as a flip-mask functional "
                         "(default: kernel of the chosen cocycle coordinate)")
 
     p = command("realize", "build a group from sign data", cmd_realize)
     p.add_argument("--family", choices=("klein", "gamma"), default=None)
     p.add_argument("--dim", type=_dimension, required=True)
-    p.add_argument("--flips", default=None,
+    p.add_argument("--flips", type=_flip_masks, default=None,
                    help="comma-separated generator flip masks, "
                         "e.g. 6,5 for the didicosm signs")
 
     p = command("embed-exist", "one dimension up, reduction-invertible",
                 cmd_embed_exist, reads_group=True)
-    p.add_argument("--coordinate", type=int, default=None)
+    p.add_argument("--coordinate", type=_natural, default=None)
 
     command("embed-mono", "gamma family monomorphism witness", cmd_embed_mono,
             reads_group=True)
@@ -186,8 +197,7 @@ def cmd_realize(args) -> dict:
     elif args.family == "gamma":
         p = constructions.gamma_group(args.dim)
     else:
-        masks = tuple(int(tok) for tok in args.flips.split(","))
-        spec = constructions.RepresentationSpec(args.dim, masks)
+        spec = constructions.RepresentationSpec(args.dim, args.flips)
         p = constructions.realize_representation(spec)
     if isinstance(p, core.GhwPresentation):
         return {"group": format_group(p), "kind": "ghw",

@@ -225,21 +225,16 @@ class DiagonalPresentation:
     """Torsion-free diagonal group whose holonomy rank is below n - 1.
 
     A thin sibling of GhwPresentation produced by realizing a low-rank
-    representation; it shares the element table interface so the torsion
-    checks apply unchanged.
+    representation. It keeps only its dimension and generators, which is
+    all find_torsion_element and format_group read.
     """
 
-    __slots__ = ("n", "gens", "elements", "s_by_mask")
+    __slots__ = ("n", "gens")
 
     def __init__(self, n, gens):
         self.n = n
         self.gens = tuple((SignVector(n, s.flips), TranslationClass(n, t.halves))
                           for s, t in gens)
-        self.s_by_mask = expand_cocycle(self.gens)
-        self.elements = tuple(sorted(self.s_by_mask))
-
-    def s(self, mask: int) -> TranslationClass:
-        return TranslationClass(self.n, self.s_by_mask[mask])
 
     def __repr__(self) -> str:
         return f"DiagonalPresentation(n={self.n}, rank={len(self.gens)})"
@@ -311,38 +306,38 @@ def reduce(
     if not 1 <= coordinate <= n:
         raise ValueError(f"coordinate {coordinate} out of range")
     bit = 1 << (coordinate - 1)
+    table = expand_cocycle(p.gens)
 
     if subgroup is None:
-        members = [m for m in p.elements if not p.s_by_mask[m] & bit]
-        if len(members) == len(p.elements):
+        members = [m for m, v in table.items() if not v & bit]
+        if len(members) == len(table):
             raise InvalidChoice(
                 f"cocycle coordinate {coordinate} vanishes identically; "
                 "no canonical index-two subgroup"
             )
     elif isinstance(subgroup, int):
-        members = [m for m in p.elements
-                   if (m & subgroup).bit_count() % 2 == 0]
-        if len(members) == len(p.elements):
+        members = [m for m in table if (m & subgroup).bit_count() % 2 == 0]
+        if len(members) == len(table):
             raise InvalidChoice("functional vanishes on the holonomy")
     else:
         members = sorted({getattr(g, "flips", g) for g in subgroup})
-        pool = set(p.elements)
-        if not all(m in pool for m in members):
+        if not all(m in table for m in members):
             raise InvalidChoice("subgroup contains foreign elements")
         mset = set(members)
         if any(a ^ b not in mset for a in members for b in members):
             raise InvalidChoice("subgroup is not closed")
-        if len(members) * 2 != len(p.elements):
+        if len(members) * 2 != len(table):
             raise InvalidChoice("subgroup does not have index two")
 
-    assert len(members) * 2 == len(p.elements)
+    assert len(members) * 2 == len(table)
     for m in members:
-        if not m & bit and p.s_by_mask[m] & bit:
+        if not m & bit and table[m] & bit:
             raise InvalidChoice(
                 f"a member fixing coordinate {coordinate} carries a half "
                 "step there; deleting it would not stay injective"
             )
-    return _drop_coordinate(p, _basis_of(members), coordinate)
+    return _drop_coordinate(
+        p.n, [(m, table[m]) for m in _basis_of(members)], coordinate)
 
 
 def _drop(mask: int, low: int) -> int:
@@ -350,16 +345,16 @@ def _drop(mask: int, low: int) -> int:
     return (mask & low) | (mask >> 1 & ~low)
 
 
-def _drop_coordinate(p, basis: list[int], coordinate: int) -> GhwPresentation:
-    """Delete a coordinate from a kernel basis; ReductionNotGhw if degenerate."""
+def _drop_coordinate(n: int, basis, coordinate: int) -> GhwPresentation:
+    """Delete a coordinate from the (flips, halves) masks of a kernel basis
+    in dimension n; ReductionNotGhw if degenerate."""
     low = (1 << (coordinate - 1)) - 1
     gens = [
-        (SignVector(p.n - 1, _drop(m, low)),
-         TranslationClass(p.n - 1, _drop(p.s_by_mask[m], low)))
-        for m in basis
+        (SignVector(n - 1, _drop(m, low)), TranslationClass(n - 1, _drop(h, low)))
+        for m, h in basis
     ]
     try:
-        q = GhwPresentation(p.n - 1, gens)
+        q = GhwPresentation(n - 1, gens)
     except DependentGenerators as exc:
         raise ReductionNotGhw(
             "deleted coordinate collapses the holonomy"
@@ -555,8 +550,7 @@ def embed_up_mono(p: GhwPresentation) -> MonoEmbedding:
         for sv, tc in p.gens
     )
     for sv, tc in images:
-        assert sv.flips in target.s_by_mask
-        assert target.s_by_mask[sv.flips] == tc.halves
+        assert target.s(sv) == tc
 
     x = _affine_of(n + 1, images[0][0].flips, images[0][1].halves)
     step = AffineMap(n + 1, 0, tuple([0] * n + [2]))
@@ -607,11 +601,10 @@ def didicosm_witness(p: GhwPresentation) -> DidicosmWitness:
     # Generator masks go first so a group that is itself three-dimensional
     # comes back with its own generating pair.
     pool = [sv.flips for sv, _ in p.gens]
-    pool += [m for m in p.elements if m not in set(pool)]
+    pool += sorted(set(p.elements) - set(pool))
+    # A valid group's support is odd, so each co-flip g1 lies in H.
     for coord in p.support:
         g1 = full ^ (1 << (coord - 1))
-        if g1 not in p.s_by_mask:
-            continue
         for g2 in pool:
             if g2 == 0 or g2 == g1 or not g2 >> (coord - 1) & 1:
                 continue
@@ -634,8 +627,8 @@ def _verify_didicosm_pair(
     translations (no torsion).
     """
     n = p.n
-    x = _affine_of(n, g1, p.s_by_mask[g1])
-    y = _affine_of(n, g2, p.s_by_mask[g2])
+    x = _affine_of(n, g1, p.s(g1).halves)
+    y = _affine_of(n, g2, p.s(g2).halves)
     one = AffineMap(n, 0, (0,) * n)
     reps = {0: one, g1: x, g2: y, g1 ^ g2: x * y}
     if len(reps) != 4:

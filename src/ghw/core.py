@@ -188,6 +188,7 @@ def expand_cocycle(gens) -> dict[int, int]:
     `gens` is a sequence of (SignVector, TranslationClass) pairs with
     independent sign masks. Returns {sign mask: halves mask} over the whole
     span, 2^k entries. Raises DependentGenerators when the span is smaller.
+    The one walk of the span; no presentation keeps the table.
 
     Linearity is forced by the group law: signs act trivially on translation
     classes, so s(gh) = s(g) XOR s(h).
@@ -224,16 +225,16 @@ class GhwPresentation:
 
     The sign vectors must be independent over F_2; they then span an index-2
     subgroup H of the diagonal group, and the translation classes extend to a
-    linear cocycle on H. H is recorded through its support: the coordinate set
-    of the unique nonzero vector annihilating H. The cocycle is also kept as
-    its half-step functionals lams (_kernels.generator_functionals): the
-    parity of lams[c] against each m of H is bit c of s(m). Geometric soundness
-    (torsion-freeness and friends) is reported by validate_ghw, never enforced
-    here, so defective tables can still be inspected.
+    linear cocycle on H. One elimination (_kernels.generator_functionals)
+    reads off both, and nothing else is stored: H as its support_mask, the
+    unique nonzero functional vanishing on H, and the cocycle as its
+    half-step functionals lams, the parity of lams[c] against each m of H
+    being bit c of s(m). Geometric soundness (torsion-freeness and friends)
+    is reported by validate_ghw, never enforced here, so defective tables
+    can still be inspected.
     """
 
-    __slots__ = ("n", "gens", "elements", "s_by_mask", "support_mask", "lams",
-                 "_report")
+    __slots__ = ("n", "gens", "support_mask", "lams", "_report")
 
     def __init__(self, n: int, gens):
         gens = tuple(gens)
@@ -244,35 +245,34 @@ class GhwPresentation:
         for sv, tc in gens:
             if sv.n != n or tc.n != n:
                 raise DimensionMismatch("generator entries disagree with dimension")
-        table = expand_cocycle(gens)
+        found = generator_functionals(
+            n, [(sv.flips, tc.halves) for sv, tc in gens])
+        if isinstance(found, int):
+            raise DependentGenerators(f"sign vector {gens[found][0].to_string()}"
+                                      " lies in the span of its predecessors")
         self.n = n
         self.gens = gens
-        self.elements = tuple(sorted(table))
-        self.s_by_mask = table
-        self.support_mask, self.lams = generator_functionals(
-            n, [(sv.flips, tc.halves) for sv, tc in gens])
+        self.support_mask, self.lams = found
         self._report = None
 
     @property
     def support(self) -> tuple[int, ...]:
         return _coordinates(self.support_mask)
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The masks of H, those even on the support, increasing."""
+        sigma = self.support_mask
+        return tuple(m for m in range(1 << self.n)
+                     if not (m & sigma).bit_count() & 1)
+
     def s(self, element) -> TranslationClass:
         """Cocycle value on an element of H, given as a mask or SignVector."""
         mask = element.flips if isinstance(element, SignVector) else element
-        try:
-            return TranslationClass(self.n, self.s_by_mask[mask])
-        except KeyError:
-            raise KeyError(f"mask {mask:#x} is not in the sign span") from None
-
-    def columns(self) -> tuple[int, ...]:
-        """Per-coordinate cocycle columns: bit t of column i is s(H[t])_i."""
-        cols = [0] * self.n
-        for t, mask in enumerate(self.elements):
-            val = self.s_by_mask[mask]
-            for i in range(self.n):
-                cols[i] |= (val >> i & 1) << t
-        return tuple(cols)
+        if mask < 0 or mask >> self.n or (mask & self.support_mask).bit_count() & 1:
+            raise KeyError(f"mask {mask:#x} is not in the sign span")
+        return TranslationClass(self.n, sum(
+            ((lam & mask).bit_count() & 1) << c for c, lam in enumerate(self.lams)))
 
     @property
     def report(self) -> "ValidationReport":
@@ -325,19 +325,16 @@ class ValidationReport(NamedTuple):
 
 
 def find_torsion_element(p) -> SignVector | None:
-    """First element (in sorted mask order) with no fixed half coordinate.
+    """The least element (as a mask) with no fixed half coordinate.
 
     An element g != Id has finite order in the group iff every coordinate it
     fixes carries translation 0; it is then an involution up to conjugacy.
-    Works on anything with .n, .elements and .s_by_mask.
+    Works on anything with .n and .gens, walking their span once.
     """
     full = (1 << p.n) - 1
-    for mask in p.elements:
-        if mask == 0:
-            continue
-        if not (~mask & full) & p.s_by_mask[mask]:
-            return SignVector(p.n, mask)
-    return None
+    offender = min((m for m, v in expand_cocycle(p.gens).items()
+                    if m and not ~m & full & v), default=None)
+    return None if offender is None else SignVector(p.n, offender)
 
 
 def is_torsion_free(p) -> bool:
@@ -361,35 +358,32 @@ def _support_alignment(n: int, src_mask: int, dst_mask: int) -> tuple[int, ...]:
 def validate_ghw(p: GhwPresentation) -> ValidationReport:
     """Check the geometric requirements and report every verdict at once.
 
-    faithful: the sign vectors span a group of order 2^(n-1) (guaranteed by
-    construction, re-derived here). minus_id_free: the all-flip element is
-    outside the span, equivalently the support has odd size. torsion_free:
-    no element violates the fixed-half witness condition. lattice_maximal:
-    the standard lattice is the unique maximal abelian normal subgroup, which
-    for this diagonal family holds exactly when the coordinate characters are
-    pairwise distinct, i.e. the support is not a 2-element set.
+    faithful: the sign vectors span a group of order 2^(n-1) (true by
+    construction, which refuses dependent generators). minus_id_free: the
+    all-flip element is outside the span, equivalently the support has odd
+    size. torsion_free: no element violates the fixed-half witness
+    condition. lattice_maximal: the standard lattice is the unique maximal
+    abelian normal subgroup, which for this diagonal family holds exactly
+    when the coordinate characters are pairwise distinct, i.e. the support
+    is not a 2-element set.
     """
     n = p.n
-    faithful = len(p.elements) == 1 << (n - 1)
     sigma = p.support_mask
     minus_id_free = sigma.bit_count() % 2 == 1
     offender = find_torsion_element(p)
     torsion_free = offender is None
-    lattice_maximal = faithful and sigma.bit_count() != 2
-    verdict = faithful and minus_id_free and torsion_free
+    verdict = minus_id_free and torsion_free
     reason = None
-    if not faithful:
-        reason = "sign span too small"
-    elif not minus_id_free:
+    if not minus_id_free:
         reason = "the all-flip sign vector lies in the span (even support)"
     elif not torsion_free:
         reason = f"torsion at {offender.to_string()}"
     return ValidationReport(
-        faithful=faithful,
+        faithful=True,
         minus_id_free=minus_id_free,
         torsion_free=torsion_free,
         torsion_offender=offender,
-        lattice_maximal=lattice_maximal,
+        lattice_maximal=sigma.bit_count() != 2,
         support=p.support,
         normalizing_permutation=_support_alignment(
             n, sigma, (1 << sigma.bit_count()) - 1),
@@ -423,8 +417,9 @@ def _fields(n: int, sigma: int) -> dict:
 def characters(p: GhwPresentation) -> tuple[tuple[int, ...], ...]:
     """The n coordinate characters on H, as +-1 rows over sorted elements."""
     _require_valid(p)
+    elements = p.elements
     return tuple(
-        tuple(-1 if m >> i & 1 else 1 for m in p.elements) for i in range(p.n)
+        tuple(-1 if m >> i & 1 else 1 for m in elements) for i in range(p.n)
     )
 
 
@@ -463,8 +458,7 @@ def find_distinguished_elements(p):
             fixers.append(SignVector(p.n, full ^ (1 << i)))
         else:
             single.append(SignVector(p.n, 1 << i))
-    assert all(f.flips in p.s_by_mask for f in fixers)
-    assert all(s.flips in p.s_by_mask for s in single)
+    assert {v.flips for v in fixers + single} <= set(p.elements)
     return tuple(fixers), tuple(single)
 
 

@@ -366,7 +366,7 @@ def _checked_generators(n: int, obj: dict):
     if len(gens) != n - 1:
         return None
     found = _kernels.generator_functionals(n, gens)
-    if found is None:
+    if isinstance(found, int):
         return None
     sigma, lams = found
     if not sigma.bit_count() & 1:

@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the package against.
 
-Everything here is deliberately written from scratch: plain-int affine
-arithmetic (translations doubled so halves stay exact), a bounded order
+Everything here is deliberately written from scratch: a group's cocycle
+table and its columns by doubling the span of its generators, plain-int
+affine arithmetic (translations doubled so halves stay exact), a bounded order
 search over a lattice window, a from-first-principles enumerator with
 orbit counting by breadth-first closure, a brute stabilizer search, the
 plain minimum and the fixing permutations over relabelings of kernel
@@ -25,6 +26,39 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+
+
+# ---------------------------------------------------------------------------
+# cocycle tables
+
+
+def cocycle_table(n: int, gens) -> dict[int, int]:
+    """{flips: halves} over the span of the generators in n coordinates.
+
+    gens holds (flips, halves) pairs, as ints or as the package's
+    (SignVector, TranslationClass). The span doubles with each generator,
+    whose halves add to every value so far; a generator inside the span of
+    its predecessors raises ValueError.
+    """
+    table = {0: 0}
+    for f, h in gens:
+        f = getattr(f, "flips", f)
+        h = getattr(h, "halves", h)
+        assert 0 <= f < 1 << n and 0 <= h < 1 << n
+        if f in table:
+            raise ValueError(f"flips {f:#x} are dependent")
+        table.update({m ^ f: v ^ h for m, v in table.items()})
+    return table
+
+
+def cocycle_columns(n: int, table: dict[int, int]) -> tuple[int, ...]:
+    """Per-coordinate columns of a cocycle_table: bit t of column i is bit
+    i of the value at the t-th smallest mask of the span."""
+    cols = [0] * n
+    for t, m in enumerate(sorted(table)):
+        for i in range(n):
+            cols[i] |= (table[m] >> i & 1) << t
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +501,11 @@ def kernel_cut(p, f: int) -> tuple[list[int], int]:
     coordinates i + 1 where a member fixing i + 1 carries a half step:
     reduce's InvalidChoice test.
     """
-    members = [m for m in p.elements if bin(m & f).count("1") % 2 == 0]
+    table = cocycle_table(p.n, p.gens)
+    members = [m for m in sorted(table) if bin(m & f).count("1") % 2 == 0]
     blocked = 0
     for m in members:
-        blocked |= p.s_by_mask[m] & ~m
+        blocked |= table[m] & ~m
     return members, blocked
 
 

@@ -7,7 +7,7 @@ from ghw.core import parse_group
 from ghw.enumerate import cached_census
 from ghw.constructions import klein_group
 
-from oracles import brute_stabilizer_order
+from oracles import brute_stabilizer_order, cocycle_table
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -53,8 +53,8 @@ def test_bounds_hold_across_census(n):
 def test_stabilizer_matches_brute_force(n):
     for e in cached_census(n).entries:
         p = e.presentation
-        elements = sorted(p.s_by_mask)
-        table = dict(p.s_by_mask)
+        table = cocycle_table(n, p.gens)
+        elements = sorted(table)
         assert normalizer_stabilizer_order(p) == brute_stabilizer_order(
             n, elements, table)
 

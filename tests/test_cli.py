@@ -303,7 +303,7 @@ class TestDimensionCap:
         def boom(*args, **kwargs):
             raise AssertionError("work started past the dimension cap")
 
-        monkeypatch.setattr(ghw.core, "expand_cocycle", boom)
+        monkeypatch.setattr(ghw.core, "generator_functionals", boom)
         monkeypatch.setattr(ghw.enumerate, "cached_census", boom)
         monkeypatch.setattr(ghw.enumerate, "enumerate_census", boom)
 
@@ -340,6 +340,45 @@ def test_dimension_at_the_cap_is_allowed(capsys):
                        "--dim", str(MAX_DIM))
     assert code == 0
     assert json.loads(out)["group"].startswith(f"dim={MAX_DIM};")
+
+
+class TestIntegerFlags:
+    # Integer flags read ASCII digits only, at most 18 significant ones,
+    # like the integers of a group literal.
+    @pytest.mark.parametrize("argv,flag,why", [
+        (("realize", "--dim", "\u0663", "--flips", "6,5"), "--dim", "ASCII"),
+        (("realize", "--dim", "3", "--flips", "\u0666,\u0665"), "--flips",
+         "ASCII"),
+        (("realize", "--dim", "3", "--flips", "6,,5"), "--flips", "ASCII"),
+        (("realize", "--dim", "3", "--flips", "6,5,"), "--flips", "ASCII"),
+        (("realize", "--dim", "3", "--flips", " 6,5"), "--flips", "ASCII"),
+        (("realize", "--dim", "3", "--flips", "6" * 5000 + ",5"), "--flips",
+         "18 digits"),
+        (("realize", "--dim", "3", "--flips", "6" * 400 + ",5"), "--flips",
+         "18 digits"),
+        (("realize", "--dim", "+3", "--family", "gamma"), "--dim", "ASCII"),
+        (("reduce", "--group", DIDICOSM, "--coordinate", "\u0663"),
+         "--coordinate", "ASCII"),
+        (("reduce", "--group", DIDICOSM, "--coordinate", "2",
+          "--functional", "1_0"), "--functional", "ASCII"),
+        (("embed-exist", "--group", DIDICOSM, "--coordinate", "\u00b2"),
+         "--coordinate", "ASCII"),
+        (("enumerate", "--dim", "3", "--workers", "\u0662"), "--workers",
+         "ASCII"),
+    ])
+    def test_refused(self, capsys, argv, flag, why):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert f"argument {flag}: " in last and why in last
+        assert len(last) < 100
+
+    def test_leading_zeros_read(self, capsys):
+        padded = run(capsys, "realize", "--dim", "0" * 30 + "3",
+                     "--flips", "06,0005")
+        assert padded == run(capsys, "realize", "--dim", "3", "--flips", "6,5")
+        assert padded[0] == 0
 
 
 class TestUsageErrors:

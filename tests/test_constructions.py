@@ -34,6 +34,7 @@ from ghw.constructions import (
 from oracles import (
     brute_list_reductions,
     brute_reduction_outcomes,
+    cocycle_table,
     kernel_cut,
     table_functionals,
 )
@@ -93,7 +94,8 @@ class TestReduce:
 
     def test_iterable_subgroup(self):
         p = didicosm()
-        members = [m for m in p.s_by_mask if bin(m & 0b001).count("1") % 2 == 0]
+        members = [m for m in cocycle_table(3, p.gens)
+                   if bin(m & 0b001).count("1") % 2 == 0]
         q = reduce(p, members, 2)
         assert canonical_key(q) == KLEIN_KEY
 
@@ -198,7 +200,7 @@ class TestListReductions:
         for e in cached_census(n).entries[::25 if n == 6 else 1]:
             for p in (e.presentation,
                       apply_coboundary(e.presentation, (1 << n) - 1)):
-                s, sigma = p.s_by_mask, p.support_mask
+                s, sigma = cocycle_table(n, p.gens), p.support_mask
                 tried = {(f, c + 1)
                          for f, c in _unblocked_pairs(n, sigma, p.lams)}
                 assert tried == {(f, c + 1) for f, c in _unblocked_pairs(
@@ -207,8 +209,8 @@ class TestListReductions:
                 assert tried == {fc for fc, out in outcomes.items()
                                  if isinstance(out, bytes)}
                 reached += sum(
-                    all(not s[m] >> c & 1 for m in p.elements)
-                    or all(not (s[m] ^ m) >> c & 1 for m in p.elements)
+                    all(not s[m] >> c & 1 for m in s)
+                    or all(not (s[m] ^ m) >> c & 1 for m in s)
                     for c in range(n))
         assert reached == 2 * every_f
 
@@ -235,7 +237,7 @@ class TestEmbedExist:
             assert validate_ghw(q).verdict
             assert q.support == p.support
             back = reduce(q, None, n + 1)
-            assert back.s_by_mask == p.s_by_mask
+            assert cocycle_table(n, back.gens) == cocycle_table(n, p.gens)
 
     def test_images_land_in_census(self):
         keys = {e.key for e in cached_census(5).entries}
@@ -249,8 +251,9 @@ class TestEmbedMono:
         emb = embed_up_mono(gamma_group(n))
         target = emb.target
         assert target == gamma_group(n + 1)
+        table = cocycle_table(n + 1, target.gens)
         for s, t in emb.images:
-            assert target.s_by_mask[s.flips] == t.halves
+            assert table[s.flips] == t.halves
             assert not t.halves >> n & 1
         # conjugating by the unit step along the new coordinate walks
         # the first image out of the embedded copy: two unit steps,
@@ -281,7 +284,7 @@ class TestSemidirect:
         p = didicosm()
         q = semidirect_minus_id(p)
         back = reduce(q, None, 4)
-        assert back.s_by_mask == p.s_by_mask
+        assert cocycle_table(3, back.gens) == cocycle_table(3, p.gens)
 
     def test_rejects_nonorientable(self):
         with pytest.raises(NotOriented):
@@ -297,7 +300,8 @@ class TestSemidirect:
             from ghw.core import first_betti
             assert first_betti(q) == 1
             back = reduce(q, None, 6)
-            assert back.s_by_mask == e.presentation.s_by_mask
+            assert cocycle_table(5, back.gens) == cocycle_table(
+                5, e.presentation.gens)
 
 
 class TestDidicosmWitness:

@@ -42,6 +42,7 @@ from ghw.homology import betti_vector
 from oracles import (
     brute_betti_vector,
     brute_h1_order,
+    cocycle_table,
     presentation_from_columns,
     random_generators,
 )
@@ -149,7 +150,7 @@ def test_lean_fields_match_presentation(n):
             assert e.h1_order == brute_h1_order(
                 n, tuple(sv.flips for sv, _ in p.gens))
             assert e.orientable == all(
-                m.bit_count() % 2 == 0 for m in p.elements)
+                m.bit_count() % 2 == 0 for m in cocycle_table(n, p.gens))
             seen += 1
     assert seen == len(c)
 

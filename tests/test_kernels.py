@@ -37,6 +37,8 @@ from oracles import (
     brute_perms,
     brute_stabilizer_order,
     brute_table_stabilizer,
+    cocycle_columns,
+    cocycle_table,
     presentation_from_columns,
     random_generators,
     table_functionals,
@@ -83,7 +85,8 @@ def test_orbit_stabilizer_checksum(n, k):
         p = presentation_from_columns(n, tab.H, cols)
         assert stab == normalizer_stabilizer_order(p)
         if n <= 4:
-            assert stab == brute_stabilizer_order(n, p.elements, p.s_by_mask)
+            table = cocycle_table(n, p.gens)
+            assert stab == brute_stabilizer_order(n, sorted(table), table)
         assert order % stab == 0
         orbits += order // stab
     tuples = count_torsion_free_tuples(n, k)
@@ -130,8 +133,9 @@ def _permuted_route(p):
     read its columns."""
     q = permute_coordinates(p, p.report.normalizing_permutation)
     tab = build_tables(p.n, p.support_mask.bit_count())
-    assert q.elements == tab.H
-    return tab, reduced(tab, q.columns())
+    table = cocycle_table(p.n, q.gens)
+    assert tuple(sorted(table)) == tab.H
+    return tab, reduced(tab, cocycle_columns(p.n, table))
 
 
 def _full_scramble(rng, p):
@@ -275,7 +279,7 @@ def _assert_functionals_match_table(p, sigma, lams):
     presentation holds the same pair."""
     n = p.n
     assert brute_annihilators(n, [sv.flips for sv, _ in p.gens]) == [sigma]
-    want = table_functionals(n, sigma, p.s_by_mask)
+    want = table_functionals(n, sigma, cocycle_table(n, p.gens))
     assert all(lam ^ w in (0, sigma) for lam, w in zip(lams, want)), p
     assert (p.support_mask, p.lams) == (sigma, lams)
     assert normalized_ranks(p) == _kernels.functional_ranks(n, sigma, want)
@@ -310,10 +314,11 @@ def test_torsion_free_matches_core_on_random_tables(n):
 
 
 def test_generator_functionals_refuse_dependent_flips():
-    assert _kernels.generator_functionals(3, [(0b011, 1), (0b011, 2)]) is None
+    # The index of the first generator inside its predecessors' span.
+    assert _kernels.generator_functionals(3, [(0b011, 1), (0b011, 2)]) == 1
     assert _kernels.generator_functionals(
-        4, [(0b0011, 0), (0b0110, 0), (0b0101, 0)]) is None
-    assert _kernels.generator_functionals(3, [(0, 1), (0b011, 2)]) is None
+        4, [(0b0011, 0), (0b0110, 0), (0b0101, 0)]) == 2
+    assert _kernels.generator_functionals(3, [(0, 1), (0b011, 2)]) == 0
 
 
 def test_kernel_imports_no_package_module():
