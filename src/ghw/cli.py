@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache, partial
 
 from . import automorphisms, constructions, core, enumerate as enum_mod, graph as graph_mod
@@ -34,14 +35,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _natural(text: str) -> int:
-    """The type of every integer flag: ASCII digits, as in a group literal."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError("expected an integer of ASCII digits")
-    if len(text.lstrip("0")) > core._INT_DIGITS:
+def _ascii_number(text: str, noun: str, digits_only: bool) -> str:
+    """text when it is ASCII, all digits if digits_only, with at most
+    core._INT_DIGITS significant digits, as integers in a group literal."""
+    if not text.isascii() or digits_only and not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected {noun} of ASCII digits")
+    if sum(c.isdigit() for c in text.lstrip("0")) > core._INT_DIGITS:
         raise argparse.ArgumentTypeError(
-            f"integer has more than {core._INT_DIGITS} digits")
-    return int(text)
+            f"{noun.split()[-1]} has more than {core._INT_DIGITS} digits")
+    return text
+
+
+def _natural(text: str) -> int:
+    """The type of every integer flag."""
+    return int(_ascii_number(text, "an integer", digits_only=True))
+
+
+def _seconds(text: str) -> float:
+    """The type of --budget; zero, negative and nan are refused later."""
+    try:
+        return float(_ascii_number(text, "a number", digits_only=False))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
 
 
 def _flip_masks(text: str) -> tuple[int, ...]:
@@ -79,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     def census_opts(p):
         p.add_argument("--long", action="store_true",
                        help="allow long-running dimensions (6 and up)")
-        p.add_argument("--budget", type=float, default=None,
+        p.add_argument("--budget", type=_seconds, default=None,
                        help="time budget in seconds for long mode")
         p.add_argument("--workers", type=_natural, default=1,
                        help="process count for enumeration")
@@ -139,10 +155,6 @@ def _gen_strings(gens) -> list[str]:
     return [f"{sv.to_string()}:{tc.to_string()}" for sv, tc in gens]
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _keyed(q) -> dict:
     return {"group": format_group(q), "key": enum_mod.canonical_key(q).hex()}
 
@@ -152,14 +164,16 @@ def _census_opts(args) -> dict:
             "workers": args.workers}
 
 
+def _write_rows(path, rows) -> None:
+    """Write rows as they come to the file at path, or to stdout without
+    one, so no whole export text is ever held."""
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        fh.writelines(rows)
+
+
 def cmd_enumerate(args) -> None:
     census = enum_mod.enumerate_census(args.dim, **_census_opts(args))
-    text = enum_mod.census_to_jsonl(census)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_rows(args.out, map(enum_mod._entry_json, census.entries))
 
 
 def cmd_table(args) -> list:
@@ -173,11 +187,9 @@ def cmd_betti(p, args) -> list:
 def cmd_graph(args) -> dict:
     g = graph_mod.build_graph(args.max_dim, **_census_opts(args))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(graph_mod.dot_export(g))
+        _write_rows(args.dot, graph_mod._dot_rows(g))
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(graph_mod.edges_json(g))
+        _write_rows(args.json_path, graph_mod._edge_rows(g))
     return {
         "vertices": len(g.vertices),
         "edges": len(g.edges),
@@ -258,7 +270,7 @@ def main(argv=None) -> int:
     try:
         reply = args.handler(args)
         if reply is not None:
-            _emit(reply)
+            print(json.dumps(reply, indent=2))
         return EXIT_OK
     except BudgetExhausted as exc:
         print(f"ghw: budget exhausted: {exc}", file=sys.stderr)

@@ -317,6 +317,7 @@ def census_table(
 
 
 def _entry_json(e: CensusEntry) -> str:
+    """One census_to_jsonl line, with its newline."""
     obj = {
         "dim": e.n,
         "support": e.support,
@@ -331,12 +332,12 @@ def _entry_json(e: CensusEntry) -> str:
         "h1_order": e.h1_order,
         "out_order": e.out_order,
     }
-    return json.dumps(obj)
+    return json.dumps(obj) + "\n"
 
 
 def census_to_jsonl(census: Census) -> str:
     """One JSON object per class, sorted by key; byte-stable across runs."""
-    return "".join(_entry_json(e) + "\n" for e in census.entries)
+    return "".join(map(_entry_json, census.entries))
 
 
 def _coordinates_mask(coords, n: int) -> int:

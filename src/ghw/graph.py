@@ -9,6 +9,7 @@ deterministic byte-for-byte.
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import _kernels
@@ -73,7 +74,10 @@ def _vertex_name(dim: int, index: int, orient: bool,
 
 
 class GhwGraph:
-    """Census vertices joined by reduction-witnessed edges."""
+    """Census vertices joined by reduction-witnessed edges: the vertices by
+    ascending dimension, the edges in (upper, lower) order. A key starts
+    with its dimension's byte, so each adjacency list comes out sorted:
+    down-neighbours first, by key, then up-neighbours, by key."""
 
     def __init__(self, max_dim: int, censuses: dict[int, Census],
                  vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
@@ -86,17 +90,11 @@ class GhwGraph:
         for e in edges:
             self._adj[e.upper].append(e.lower)
             self._adj[e.lower].append(e.upper)
-        for nbrs in self._adj.values():
-            nbrs.sort()
-
-    @staticmethod
-    def _key_of(vertex_or_key) -> bytes:
-        if isinstance(vertex_or_key, Vertex):
-            return vertex_or_key.key
-        return vertex_or_key
 
     def vertex(self, key: bytes) -> Vertex:
-        key = self._key_of(key)
+        """The vertex with this key; a Vertex stands for its own key."""
+        if isinstance(key, Vertex):
+            key = key.key
         try:
             return self._by_key[key]
         except KeyError:
@@ -109,19 +107,15 @@ class GhwGraph:
         raise UnknownVertex(f"no vertex named {name!r}")
 
     def neighbors(self, key: bytes) -> tuple[bytes, ...]:
-        key = self._key_of(key)
-        self.vertex(key)
-        return tuple(self._adj[key])
+        return tuple(self._adj[self.vertex(key).key])
 
     def degree_down(self, key: bytes) -> int:
-        key = self._key_of(key)
         v = self.vertex(key)
-        return sum(1 for k in self._adj[key] if self._by_key[k].dim < v.dim)
+        return sum(self._by_key[k].dim < v.dim for k in self._adj[v.key])
 
     def degree_up(self, key: bytes) -> int:
-        key = self._key_of(key)
         v = self.vertex(key)
-        return sum(1 for k in self._adj[key] if self._by_key[k].dim > v.dim)
+        return sum(self._by_key[k].dim > v.dim for k in self._adj[v.key])
 
     def _reached(self, start: bytes, target: Optional[bytes] = None) -> dict:
         """Breadth-first distances from start over its component, stopping
@@ -137,9 +131,7 @@ class GhwGraph:
         return seen
 
     def distance(self, a: bytes, b: bytes) -> int:
-        a, b = self._key_of(a), self._key_of(b)
-        self.vertex(a)
-        self.vertex(b)
+        a, b = self.vertex(a).key, self.vertex(b).key
         try:
             return self._reached(a, b)[b]
         except KeyError:
@@ -180,20 +172,14 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     for d in range(3, max_dim + 1):
         for entry in by_dim[d].entries:
             sigma, lams = _kernels.generator_functionals(d, entry.gens)
-            first_by_target: dict[bytes, ReductionChoice] = {}
+            first: dict[bytes, ReductionChoice] = {}
             for choice in _reductions(d, sigma, lams, keys):
-                if choice.key not in first_by_target:
-                    first_by_target[choice.key] = choice
-            assert first_by_target, "every vertex must reduce somewhere"
-            for target_key in sorted(first_by_target):
-                assert target_key in by_dim[d - 1], "reduction left the census"
-                choice = first_by_target[target_key]
-                edges.append(Edge(
-                    upper=entry.key,
-                    lower=target_key,
-                    witness=choice,
-                    normal=_witness_is_normal(sigma, choice),
-                ))
+                first.setdefault(choice.key, choice)
+            assert first, "every vertex must reduce somewhere"
+            for target in sorted(first):
+                assert target in by_dim[d - 1], "reduction left the census"
+                edges.append(Edge(entry.key, target, first[target],
+                                  _witness_is_normal(sigma, first[target])))
 
     return GhwGraph(max_dim, by_dim, tuple(vertices), tuple(edges))
 
@@ -206,34 +192,28 @@ def _witness_is_normal(sigma: int, choice: ReductionChoice) -> bool:
     return 1 << (choice.coordinate - 1) in (sigma, f, f ^ sigma)
 
 
-def dot_export(graph: GhwGraph) -> str:
-    """Deterministic DOT rendering, one rank per dimension.
-
-    Open circles mark vanishing first Betti number, filled bullets mark
-    first Betti number one.
-    """
-    lines = [
-        "graph ghw {",
-        "  rankdir=BT;",
-        "  node [shape=circle, fixedsize=true, width=0.25, fontsize=8];",
-    ]
-    for d in range(2, graph.max_dim + 1):
-        members = [v for v in graph.vertices if v.dim == d]
-        lines.append(f"  subgraph dim{d} {{")
-        lines.append("    rank=same;")
+def _dot_rows(graph: GhwGraph):
+    """The lines of dot_export, each with its newline: the vertices in one
+    pass, a rank per dimension, then the edges in their stored order."""
+    yield ("graph ghw {\n  rankdir=BT;\n"
+           "  node [shape=circle, fixedsize=true, width=0.25, fontsize=8];\n")
+    for dim, members in groupby(graph.vertices, key=lambda v: v.dim):
+        yield f"  subgraph dim{dim} {{\n    rank=same;\n"
         for v in members:
             style = ("style=filled, fillcolor=black, fontcolor=white"
                      if v.beta1 == 1 else "style=solid")
-            lines.append(
-                f'    "{v.name}" [{style}, tooltip="{v.key_hex}"];'
-            )
-        lines.append("  }")
-    for e in sorted(graph.edges, key=lambda e: (e.upper, e.lower)):
-        up = graph.vertex(e.upper).name
-        down = graph.vertex(e.lower).name
-        lines.append(f'  "{down}" -- "{up}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'    "{v.name}" [{style}, tooltip="{v.key_hex}"];\n'
+        yield "  }\n"
+    names = graph._by_key
+    for e in graph.edges:
+        yield f'  "{names[e.lower].name}" -- "{names[e.upper].name}";\n'
+    yield "}\n"
+
+
+def dot_export(graph: GhwGraph) -> str:
+    """Deterministic DOT rendering, one rank per dimension: open circles
+    mark first Betti number 0, filled bullets first Betti number 1."""
+    return "".join(_dot_rows(graph))
 
 
 _EDGE_ROW = """  {
@@ -247,17 +227,21 @@ _EDGE_ROW = """  {
   }"""
 
 
-def edges_json(graph: GhwGraph) -> str:
-    """JSON edge list with per-edge witnesses, deterministic order.
+def _edge_rows(graph: GhwGraph):
+    """The pieces of edges_json, one per edge, from the _EDGE_ROW template."""
+    if not graph.edges:
+        yield "[]\n"
+        return
+    sep = "[\n"
+    for e in graph.edges:
+        yield sep + _EDGE_ROW % (
+            e.upper.hex(), e.lower.hex(), e.witness.functional,
+            e.witness.coordinate, "true" if e.normal else "false")
+        sep = ",\n"
+    yield "\n]\n"
 
-    The bytes are those of json.dumps(rows, indent=2) plus a newline,
-    written row by row from one template.
-    """
-    rows = [
-        _EDGE_ROW % (e.upper.hex(), e.lower.hex(), e.witness.functional,
-                     e.witness.coordinate, "true" if e.normal else "false")
-        for e in sorted(graph.edges, key=lambda e: (e.upper, e.lower))
-    ]
-    if not rows:
-        return "[]\n"
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+def edges_json(graph: GhwGraph) -> str:
+    """JSON edge list with per-edge witnesses, in the stored edge order:
+    the bytes of json.dumps(rows, indent=2) plus a newline."""
+    return "".join(_edge_rows(graph))

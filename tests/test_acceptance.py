@@ -21,10 +21,11 @@ from ghw.constructions import (
     reduce,
 )
 from ghw.core import (
-    apply_coboundary,
+    GhwPresentation,
+    SignVector,
+    TranslationClass,
     format_group,
     is_torsion_free,
-    permute_coordinates,
 )
 from ghw.enumerate import (
     BudgetExhausted,
@@ -42,6 +43,7 @@ from oracles import (
     check_snf,
     cocycle_columns,
     cocycle_table,
+    scrambled_gens,
     table_is_torsion_free,
 )
 
@@ -113,7 +115,7 @@ def test_criterion_5_h1_snf_equals_closed_form():
             assert e.h1_order == 1 << (n - e.beta1), e.key_hex
             groups.append(e.presentation)
             if n < 6 or i % 10 == 0:
-                groups.append(_scramble(rng, e.presentation, range(1, n + 1)))
+                groups.append(_scramble(rng, n, e.gens))
     dim6 = cached_census(6).entries
     groups += [embed_up_exist(e.presentation)
                for e in dim6[::len(dim6) // 20][:20]]
@@ -160,11 +162,14 @@ def test_criterion_7_graph_claims():
                 assert w.lattice_rank == 3, e.key_hex
 
 
-def _scramble(rng, p, perm_pool):
-    perm = list(perm_pool)
+def _scramble(rng, n, gens):
+    """One presentation of (flips, halves) masks relabeled by a shuffled
+    coordinate order, then shifted by a random coboundary."""
+    perm = list(range(n))
     rng.shuffle(perm)
-    q = permute_coordinates(p, tuple(perm))
-    return apply_coboundary(q, rng.randrange(1 << p.n))
+    return GhwPresentation(n, [
+        (SignVector(n, f), TranslationClass(n, h))
+        for f, h in scrambled_gens(n, gens, perm, rng.randrange(1 << n))])
 
 
 def test_criterion_8_property_suites():
@@ -175,31 +180,26 @@ def test_criterion_8_property_suites():
     # scrambles, topped up with full rescrambles through canonical_key
     for n in (2, 3, 4):
         for e in cached_census(n).entries:
-            p = e.presentation
             for _ in range(1000):
-                assert canonical_key(
-                    _scramble(rng, p, range(1, n + 1))) == e.key
+                assert canonical_key(_scramble(rng, n, e.gens)) == e.key
     for e in cached_census(5).entries:
-        p = e.presentation
         n, k = 5, len(e.support)
         tab = _kernels.build_tables(n, k)
         rows = []
         for _ in range(900):
-            head = list(range(1, k + 1))
-            tail = list(range(k + 1, n + 1))
+            head = list(range(k))
+            tail = list(range(k, n))
             rng.shuffle(head)
             rng.shuffle(tail)
-            q = apply_coboundary(
-                permute_coordinates(p, tuple(head + tail)),
-                rng.randrange(1 << n))
-            table = cocycle_table(n, q.gens)
+            table = cocycle_table(n, scrambled_gens(
+                n, e.gens, head + tail, rng.randrange(1 << n)))
             assert tuple(sorted(table)) == tab.H
             rows.append(cocycle_columns(n, table))
-        rows.append(cocycle_columns(n, cocycle_table(n, p.gens)))
+        rows.append(cocycle_columns(n, cocycle_table(n, e.gens)))
         canon = _kernels.canonicalize_batch(n, k, rows)
         assert all(c == canon[-1] for c in canon), e.key_hex
         for _ in range(100):
-            assert canonical_key(_scramble(rng, p, range(1, 6))) == e.key
+            assert canonical_key(_scramble(rng, n, e.gens)) == e.key
 
     # census equality against the independent brute-force enumerator
     for n in (2, 3, 4):

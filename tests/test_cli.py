@@ -5,6 +5,7 @@ import pytest
 
 import ghw._kernels
 import ghw.enumerate
+import ghw.graph
 from ghw.cli import _parser, main
 from ghw.core import MAX_DIM
 from ghw.enumerate import CENSUS_MAX_DIM
@@ -243,6 +244,58 @@ class TestConstructions:
         assert json.loads(out)["isomorphic"] is False
 
 
+class TestExportsStreamed:
+    # The commands write the export rows as they come; the bytes are
+    # those of the library's whole-text exports.
+    def test_graph_files(self, capsys, tmp_path):
+        g = ghw.graph.build_graph(5)
+        dot, js = tmp_path / "g.dot", tmp_path / "g.json"
+        code, _, _ = run(capsys, "graph", "--max-dim", "5",
+                         "--dot", str(dot), "--json", str(js))
+        assert code == 0
+        assert dot.read_bytes() == ghw.graph.dot_export(g).encode()
+        assert js.read_bytes() == ghw.graph.edges_json(g).encode()
+
+    def test_enumerate_out_and_stdout(self, capsys, tmp_path):
+        want = ghw.enumerate.census_to_jsonl(ghw.enumerate.cached_census(4))
+        out = tmp_path / "c.jsonl"
+        assert run(capsys, "enumerate", "--dim", "4", "--out", str(out)) == (
+            0, "", "")
+        assert out.read_bytes() == want.encode()
+        assert run(capsys, "enumerate", "--dim", "4") == (0, want, "")
+
+    def test_no_edges(self, capsys, tmp_path):
+        js = tmp_path / "g.json"
+        code, _, _ = run(capsys, "graph", "--max-dim", "2", "--json", str(js))
+        assert code == 0
+        assert js.read_bytes() == b"[]\n"
+
+    def test_no_whole_text(self, capsys, monkeypatch, tmp_path):
+        want = {}
+        for name in ("dot", "json"):
+            path = tmp_path / f"before.{name}"
+            run(capsys, "graph", "--max-dim", "4", f"--{name}", str(path))
+            want[name] = path.read_bytes()
+        census = run(capsys, "enumerate", "--dim", "4")
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a command built a whole export text")
+
+        monkeypatch.setattr(ghw.graph, "dot_export", boom)
+        monkeypatch.setattr(ghw.graph, "edges_json", boom)
+        monkeypatch.setattr(ghw.enumerate, "census_to_jsonl", boom)
+        for name in ("dot", "json"):
+            path = tmp_path / f"after.{name}"
+            code, _, _ = run(capsys, "graph", "--max-dim", "4",
+                             f"--{name}", str(path))
+            assert code == 0
+            assert path.read_bytes() == want[name]
+        assert run(capsys, "enumerate", "--dim", "4") == census
+        out = tmp_path / "after.jsonl"
+        assert run(capsys, "enumerate", "--dim", "4", "--out", str(out))[0] == 0
+        assert out.read_text() == census[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--dim", "3"),
     ("table", "--max-dim", "3"),
@@ -344,7 +397,8 @@ def test_dimension_at_the_cap_is_allowed(capsys):
 
 class TestIntegerFlags:
     # Integer flags read ASCII digits only, at most 18 significant ones,
-    # like the integers of a group literal.
+    # like the integers of a group literal; --budget reads ASCII only,
+    # with at most 18 significant digits.
     @pytest.mark.parametrize("argv,flag,why", [
         (("realize", "--dim", "\u0663", "--flips", "6,5"), "--dim", "ASCII"),
         (("realize", "--dim", "3", "--flips", "\u0666,\u0665"), "--flips",
@@ -365,6 +419,10 @@ class TestIntegerFlags:
          "--coordinate", "ASCII"),
         (("enumerate", "--dim", "3", "--workers", "\u0662"), "--workers",
          "ASCII"),
+        (("table", "--max-dim", "3", "--budget", "\u0663"), "--budget",
+         "ASCII"),
+        (("table", "--max-dim", "3", "--budget", "9" * 5000), "--budget",
+         "18 digits"),
     ])
     def test_refused(self, capsys, argv, flag, why):
         code, out, err = run(capsys, *argv)
@@ -373,6 +431,11 @@ class TestIntegerFlags:
         last = err.splitlines()[-1]
         assert f"argument {flag}: " in last and why in last
         assert len(last) < 100
+
+    def test_budget_fraction_runs(self, capsys):
+        code, out, _ = run(capsys, "table", "--max-dim", "3", "--budget", "2.5")
+        assert code == 0
+        assert [r["total"] for r in json.loads(out)] == [1, 3]
 
     def test_leading_zeros_read(self, capsys):
         padded = run(capsys, "realize", "--dim", "0" * 30 + "3",

@@ -33,6 +33,7 @@ from oracles import (
     brute_annihilators,
     cocycle_table,
     lift_has_finite_order,
+    scrambled_gens,
     table_is_torsion_free,
 )
 
@@ -265,6 +266,20 @@ class TestTransforms:
             if cocycle_table(3, q.gens) != cocycle_table(3, p.gens):
                 seen_different = True
         assert seen_different
+
+    def test_scrambled_gens_oracle_matches_transforms(self):
+        # the oracle that criterion 8 scrambles with stays tied to the
+        # library transforms it replaces there
+        rng = random.Random(11)
+        for n in (3, 4, 5):
+            for e in cached_census(n).entries[::4]:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                shift = rng.randrange(1 << n)
+                q = apply_coboundary(permute_coordinates(
+                    e.presentation, tuple(c + 1 for c in perm)), shift)
+                assert scrambled_gens(n, e.gens, perm, shift) == [
+                    (sv.flips, tc.halves) for sv, tc in q.gens]
 
 
 def _random_basis(rng, n: int, functionals):

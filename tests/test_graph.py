@@ -119,6 +119,17 @@ def test_edge_normality_matches_member_scan(graph6):
     assert (len(g.edges), normal) == (14_973, 2_367)
 
 
+def test_edges_and_neighbors_come_sorted(graph4, graph5, graph6):
+    # build_graph emits edges in (upper, lower) order and the adjacency
+    # lists are sorted as built; the exports rely on both
+    for g in (graph4, graph5, graph6):
+        pairs = [(e.upper, e.lower) for e in g.edges]
+        assert pairs == sorted(pairs)
+        for v in g.vertices:
+            nbrs = g.neighbors(v)
+            assert list(nbrs) == sorted(nbrs)
+
+
 def test_edges_link_adjacent_dimensions(graph5):
     for e in graph5.edges:
         assert graph5.vertex(e.upper).dim == graph5.vertex(e.lower).dim + 1
