@@ -36,9 +36,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ascii_number(text: str, noun: str, digits_only: bool) -> str:
-    """text when it is ASCII, all digits if digits_only, with at most
-    core._INT_DIGITS significant digits, as integers in a group literal."""
-    if not text.isascii() or digits_only and not text.isdigit():
+    """text when it is ASCII with no surrounding space and no underscore,
+    all digits if digits_only, with at most core._INT_DIGITS significant
+    digits, as integers in a group literal."""
+    if (not text.isascii() or text != text.strip() or "_" in text
+            or digits_only and not text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected {noun} of ASCII digits")
     if sum(c.isdigit() for c in text.lstrip("0")) > core._INT_DIGITS:
         raise argparse.ArgumentTypeError(

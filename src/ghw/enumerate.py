@@ -52,9 +52,11 @@ __all__ = [
 LONG_MODE_DIM = 6
 DEFAULT_BUDGET = 1800.0
 # The largest dimension a census may be built for, checked before any
-# dimension is built. Dimension 7 (100,012 classes) takes about 25 s and
-# 300 MB with its JSONL round trip; a dimension-8 census, an estimated
-# 3.5 million classes held in memory at once, does not fit.
+# dimension is built. Dimension 7 (100,012 classes) takes about 9 s and
+# 97 MB to write as JSONL with `ghw enumerate --dim 7 --long --out`, and
+# about 4.5 s to read back checked (BENCH_jsonl_codec.json, 2 cores); a
+# dimension-8 census, an estimated 3.5 million classes held in memory at
+# once, does not fit.
 CENSUS_MAX_DIM = 7
 
 
@@ -316,23 +318,36 @@ def census_table(
     ]
 
 
+@lru_cache(maxsize=None)
+def _coordinates_text(mask: int) -> str:
+    """The JSON text of a mask's coordinates, such as [1, 2, 3]."""
+    return json.dumps(_coordinates(mask))
+
+
+@lru_cache(maxsize=None)
+def _line_frame(n: int, support: tuple[int, ...]) -> tuple[str, str]:
+    """The text of a dim-n census line with this support before its
+    generators, and between its key and its out_order, each field rendered
+    by json.dumps from core._fields. Keyed by the support itself: a line
+    read back may hold any odd support, not only an initial segment."""
+    fields = _fields(n, sum(1 << (i - 1) for i in support))
+    head = (f'{{"dim": {n}, "support": {json.dumps(fields["support"])}, '
+            '"generators": [')
+    middle = "".join(f', "{name}": {json.dumps(fields[name])}'
+                     for name in ("beta1", "orientable", "betti", "h1_order"))
+    return head, f'"{middle}, "out_order": '
+
+
 def _entry_json(e: CensusEntry) -> str:
-    """One census_to_jsonl line, with its newline."""
-    obj = {
-        "dim": e.n,
-        "support": e.support,
-        "generators": [
-            {"flips": _coordinates(f), "halves": _coordinates(h)}
-            for f, h in e.gens
-        ],
-        "canonical_key": e.key.hex(),
-        "beta1": e.beta1,
-        "orientable": e.orientable,
-        "betti": e.betti,
-        "h1_order": e.h1_order,
-        "out_order": e.out_order,
-    }
-    return json.dumps(obj) + "\n"
+    """One census_to_jsonl line, with its newline: the bytes json.dumps
+    gives for the entry's fields in order, joined from text cached per
+    mask and per support."""
+    head, middle = _line_frame(e.n, e.support)
+    gens = ", ".join([
+        f'{{"flips": {_coordinates_text(f)}, "halves": {_coordinates_text(h)}}}'
+        for f, h in e.gens])
+    return (f'{head}{gens}], "canonical_key": "{e.key.hex()}{middle}'
+            f'{e.out_order}}}\n')
 
 
 def census_to_jsonl(census: Census) -> str:
@@ -341,13 +356,29 @@ def census_to_jsonl(census: Census) -> str:
 
 
 def _coordinates_mask(coords, n: int) -> int:
-    """The mask of increasing coordinates, each an int in 1..n."""
-    if coords != sorted(set(coords)):
-        raise ValueError(f"coordinates {coords!r} are not increasing")
-    for i in coords:
-        if type(i) is not int or not 1 <= i <= n:
-            raise ValueError(f"coordinate {i!r} is outside 1..{n}")
-    return sum(1 << (i - 1) for i in coords)
+    """The mask of a list of strictly increasing coordinates, each an int
+    in 1..n, in one pass. Coordinates out of order (or that do not
+    compare) are reported before one outside 1..n, wherever each stands."""
+    if type(coords) is not list:
+        raise ValueError(f"coordinates {coords!r} are not a list")
+    mask = 0
+    last = 0  # the previous coordinate; 0 bounds the first one below
+    outside = ()
+    try:
+        for i in coords:
+            if type(i) is int and last < i <= n:
+                mask |= 1 << (i - 1)
+            elif (mask or outside) and not last < i:
+                raise ValueError(f"coordinates {coords!r} are not increasing")
+            else:
+                outside = outside or (i,)
+            last = i
+    except TypeError:
+        raise ValueError(
+            f"coordinates {coords!r} are not increasing") from None
+    if outside:
+        raise ValueError(f"coordinate {outside[0]!r} is outside 1..{n}")
+    return mask
 
 
 def _checked_generators(n: int, obj: dict):
@@ -359,9 +390,9 @@ def _checked_generators(n: int, obj: dict):
     reduced ranks of the table torsion-free.
     """
     try:
-        gens = tuple((_coordinates_mask(g["flips"], n),
-                      _coordinates_mask(g["halves"], n))
-                     for g in obj["generators"])
+        gens = tuple([(_coordinates_mask(g["flips"], n),
+                       _coordinates_mask(g["halves"], n))
+                      for g in obj["generators"]])
     except (LookupError, TypeError, ValueError):
         return None
     if len(gens) != n - 1:
@@ -401,6 +432,13 @@ def _typed(value):
     return type(value), value
 
 
+@lru_cache(maxsize=None)
+def _typed_fields(n: int, sigma: int) -> tuple[tuple[str, object], ...]:
+    """(name, _typed(value)) of each field core._fields gives."""
+    return tuple((name, _typed(value))
+                 for name, value in _fields(n, sigma).items())
+
+
 def _entry_from_json(obj: dict) -> CensusEntry:
     """One census entry, checked against every field its generators fix.
 
@@ -422,10 +460,10 @@ def _entry_from_json(obj: dict) -> CensusEntry:
     if obj["canonical_key"] != key.hex():
         raise ValueError("canonical_key is not the key of the generators")
     fields = _fields(n, sigma)
-    for name, value in fields.items():
-        if _typed(obj[name]) != _typed(value):
-            raise ValueError(f"{name} {obj[name]!r} differs from {value!r}, "
-                             "which the generators give")
+    for name, typed in _typed_fields(n, sigma):
+        if _typed(obj[name]) != typed:
+            raise ValueError(f"{name} {obj[name]!r} differs from "
+                             f"{fields[name]!r}, which the generators give")
     out = obj["out_order"]
     twice_h1 = 2 * fields["h1_order"]
     if not (type(out) is int and out > 0 and out % twice_h1 == 0

@@ -17,7 +17,8 @@ pair as the slow reference for ``list_reductions``; ``brute_h1_order``,
 which computes |H^1| through the package's integer Smith normal form
 (itself checked by ``check_snf``) as the reference for the closed form;
 ``presentation_from_columns``, which rebuilds a census leaf's presentation
-from its columns as the reference for the lean census entries; and
+from its columns as the reference for the lean census entries;
+``census_line``, the ``json.dumps`` rendering of a census entry; and
 ``reference_edges_json``, the ``json.dumps`` rendering of a graph's edge
 list.
 """
@@ -590,6 +591,32 @@ def presentation_from_columns(n: int, elements, cols):
         gens.append((SignVector(n, m), TranslationClass(n, halves)))
     assert len(gens) == n - 1
     return GhwPresentation(n, gens)
+
+
+# ---------------------------------------------------------------------------
+# census JSONL
+
+
+def census_line(entry) -> str:
+    """An entry as json.dumps of its own fields in order, with its newline:
+    the bytes census_to_jsonl must write for it."""
+    import json
+
+    def coordinates(mask):
+        return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+    return json.dumps({
+        "dim": entry.n,
+        "support": entry.support,
+        "generators": [{"flips": coordinates(f), "halves": coordinates(h)}
+                       for f, h in entry.gens],
+        "canonical_key": entry.key.hex(),
+        "beta1": entry.beta1,
+        "orientable": entry.orientable,
+        "betti": entry.betti,
+        "h1_order": entry.h1_order,
+        "out_order": entry.out_order,
+    }) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,8 @@ def test_dimension_at_the_cap_is_allowed(capsys):
 class TestIntegerFlags:
     # Integer flags read ASCII digits only, at most 18 significant ones,
     # like the integers of a group literal; --budget reads ASCII only,
-    # with at most 18 significant digits.
+    # with no surrounding space or underscore and at most 18 significant
+    # digits.
     @pytest.mark.parametrize("argv,flag,why", [
         (("realize", "--dim", "\u0663", "--flips", "6,5"), "--dim", "ASCII"),
         (("realize", "--dim", "3", "--flips", "\u0666,\u0665"), "--flips",
@@ -423,6 +424,9 @@ class TestIntegerFlags:
          "ASCII"),
         (("table", "--max-dim", "3", "--budget", "9" * 5000), "--budget",
          "18 digits"),
+        (("table", "--max-dim", "3", "--budget", " 3"), "--budget", "ASCII"),
+        (("table", "--max-dim", "3", "--budget", "3\t"), "--budget", "ASCII"),
+        (("table", "--max-dim", "3", "--budget", "1_0"), "--budget", "ASCII"),
     ])
     def test_refused(self, capsys, argv, flag, why):
         code, out, err = run(capsys, *argv)
@@ -436,6 +440,10 @@ class TestIntegerFlags:
         code, out, _ = run(capsys, "table", "--max-dim", "3", "--budget", "2.5")
         assert code == 0
         assert [r["total"] for r in json.loads(out)] == [1, 3]
+
+    def test_budget_exponent_runs(self, capsys):
+        assert run(capsys, "table", "--max-dim", "3", "--budget", "1e3") == (
+            run(capsys, "table", "--max-dim", "3"))
 
     def test_leading_zeros_read(self, capsys):
         padded = run(capsys, "realize", "--dim", "0" * 30 + "3",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ghw._kernels import build_tables, census_leaves
+from ghw._kernels import build_tables, census_leaves, normalized_ranks, to_codes
 from ghw.automorphisms import normalizer_stabilizer_order
 from ghw.cohomology import h1_order
 from ghw.core import (
@@ -34,6 +34,8 @@ from ghw.enumerate import (
     censuses,
     enumerate_census,
     hyperplane_classes,
+    _entry_json,
+    _key_bytes,
     _support_entries,
 )
 from ghw.constructions import gamma_group, klein_group
@@ -42,6 +44,7 @@ from ghw.homology import betti_vector
 from oracles import (
     brute_betti_vector,
     brute_h1_order,
+    census_line,
     cocycle_table,
     presentation_from_columns,
     random_generators,
@@ -203,6 +206,31 @@ class TestJsonl:
             assert again.n == n
             assert again.entries == c.entries
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lines_match_oracle(self, n):
+        # Each line joined from cached text is the json.dumps of the entry.
+        for e in cached_census(n):
+            assert _entry_json(e) == census_line(e)
+
+    def test_support_off_initial_segment_round_trip(self):
+        # A line may hold any odd support. Its text is cached by the support
+        # itself, so after a line with support {1, 2, 3} one with support
+        # {2, 3, 4} (and the key of its own aligned columns) is read and
+        # written back byte for byte.
+        e = next(e for e in cached_census(4) if len(e.support) == 3)
+        assert census_to_jsonl(Census(4, [e])) == census_line(e)
+        q = permute_coordinates(e.presentation, (2, 3, 4, 1))
+        assert q.support == (2, 3, 4)
+        moved = e._replace(
+            gens=tuple((sv.flips, tc.halves) for sv, tc in q.gens),
+            key=_key_bytes(4, 3, to_codes(*normalized_ranks(q))),
+            support=q.support)
+        text = census_line(moved)
+        back = census_from_jsonl(text)
+        assert back.entries == (moved,)
+        assert back.entries[0].presentation == q
+        assert census_to_jsonl(back) == text
+
     def test_mixed_dimensions_rejected(self):
         lines = (census_to_jsonl(cached_census(2)).rstrip("\n")
                  + "\n"
@@ -354,6 +382,30 @@ class TestJsonlChecks:
         with pytest.raises(ValueError) as info:
             census_from_jsonl(text)
         assert str(info.value) == f"census line {line}: generators: {reason}"
+
+    @pytest.mark.parametrize("flips, reason", [
+        ([5, 2], "coordinates [5, 2] are not increasing"),
+        ([2, 2], "coordinates [2, 2] are not increasing"),
+        ([True, 1], "coordinates [True, 1] are not increasing"),
+        ([1, 1.0], "coordinates [1, 1.0] are not increasing"),
+        ([0, 5, 2], "coordinates [0, 5, 2] are not increasing"),
+        (["1"], "coordinate '1' is outside 1..4"),
+        ([1, 1.5], "coordinate 1.5 is outside 1..4"),
+        ([3, 5, 6], "coordinate 5 is outside 1..4"),
+        ([[1]], "coordinate [1] is outside 1..4"),
+        ([1, "2"], "coordinates [1, '2'] are not increasing"),
+        (None, "coordinates None are not a list"),
+        ("12", "coordinates '12' are not a list"),
+    ])
+    def test_refused_coordinates_text(self, flips, reason):
+        # Coordinates out of order are named before one outside 1..n,
+        # wherever each stands; values that are no list, or do not compare,
+        # get a one-line text too.
+        text = _edited(4, 2, lambda obj: obj["generators"][0].update(
+            flips=flips))
+        with pytest.raises(ValueError) as info:
+            census_from_jsonl(text)
+        assert str(info.value) == f"census line 3: generators: {reason}"
 
     @pytest.mark.parametrize("field", ["flips", "halves"])
     @pytest.mark.parametrize("coordinate", [10 ** 8, 0, -3, True, 1.5])
