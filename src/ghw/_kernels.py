@@ -68,7 +68,6 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
                  promised order, as (inv, image): new coordinate j takes
                  old coordinate inv[j], and image (bytes) holds at r the
                  rank of character r relabeled
-      stab       per depth d, the perms mapping {0..d} onto itself
     """
     if n > 9:
         raise ValueError(f"dimension {n}: a rank must fit a byte (n <= 9)")
@@ -118,41 +117,34 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
             coset += [(tuple(map(inv.__getitem__, tau)), image.translate(swap))
                       for inv, image in perms]
         perms += coset
-    # p maps {0..d} onto itself iff the largest of inv[:d+1] is d.
-    stab = [[] for _ in range(n)]
-    for p in perms:
-        top = -1
-        for d, i in enumerate(p[0]):
-            if i > top:
-                top = i
-            if top == d:
-                stab[d].append(p)
     return SimpleNamespace(
         n=n, k=k, T=T, H=tuple(H), codes=tuple(codes), rank=rank,
         red=tuple(red), colfix=tuple(colfix), needcheck=tuple(needcheck),
         cands=tuple(tuple(sorted(set(r))) for r in red),
         mask_rank=tuple(mask_rank), perms=tuple(perms),
-        stab=tuple(map(tuple, stab)),
     )
 
 
 @lru_cache(maxsize=None)
 def first_position(n: int, k: int, d: int):
-    """Position 0 of least over stab[d], ahead of time: per old coordinate
-    i that those permutations move to position 0, and per rank r, the pair
-    (least position-0 value, the permutations with inv[0] = i that reach
-    it).
+    """Position 0 of least over the perms that map {0..d} onto itself,
+    ahead of time: per old coordinate i that they move to position 0, and
+    per rank r, the pair (least position-0 value, the permutations with
+    inv[0] = i that reach it), the permutations in the order of perms.
 
     Position 0 of a relabeling is red[0][image[ranks[i]]] with i = inv[0],
-    so both depend on (i, ranks[i]) alone. Since stab[d] keeps {0..d} and
+    so both depend on (i, ranks[i]) alone. Since the perms keep {0..d} and
     the support {0..k-1}, i runs over 0..min(d, k-1); the rows' lists are
     disjoint.
     """
     tab = build_tables(n, k)
+    # p keeps {0..d} iff max(inv[:d+1]) is d; every p does at d = n - 1.
+    kept = tab.perms if d == n - 1 else [
+        p for p in tab.perms if max(p[0][:d + 1]) == d]
     red0 = _byte_table(tab.red[0])
     rows = []
     for i in range(min(d, k - 1) + 1):
-        perms = [p for p in tab.stab[d] if p[0][0] == i]
+        perms = [p for p in kept if p[0][0] == i]
         # Row t of vals is perm t's position-0 value for each rank, so its
         # column r (a strided slice) holds every perm's value for rank r.
         vals = b"".join([image.translate(red0) for _, image in perms])
@@ -173,18 +165,18 @@ def first_position(n: int, k: int, d: int):
 
 def least(tab, d, ranks, ref=None):
     """The permutation primitive: the least relabeling of ranks over the
-    permutations stab[d], as (tuple, number of them that give it).
+    perms that keep {0..d}, as (tuple, number of them that give it).
 
     Position j of a relabeling is red[j][image[ranks[inv[j]]]]. Position 0
     is read from first_position: the least of at most k table cells, and
     the permutations of the cells that reach it. Each later position is
     computed for the surviving permutations only, and those that miss its
     minimum are dropped. The survivors form a coset of the stabilizer of
-    ranks in stab[d], so the count is its order. ranks may be a prefix of
-    length d+1, since stab[d] maps {0..d} onto itself. With ref, the result
-    is None as soon as the least relabeling falls below ref, which it does
-    exactly when it is lexicographically smaller; once it rises above ref,
-    ref is no longer read.
+    ranks among those permutations, so the count is its order. ranks may
+    be a prefix of length d+1, since they map {0..d} onto itself. With
+    ref, the result is None as soon as the least relabeling falls below
+    ref, which it does exactly when it is lexicographically smaller; once
+    it rises above ref, ref is no longer read.
     """
     cells = [row[ranks[i]]
              for i, row in enumerate(first_position(tab.n, tab.k, d))]
@@ -264,24 +256,26 @@ def generator_functionals(n: int, gens):
     it, and a functional whose bits all lie on pivots is read off the rows:
     bit p of lams[c] is bit c of the halves of the row with pivot p.
     """
-    rows: dict[int, tuple[int, int]] = {}
+    rows: list[list[int]] = []  # [pivot, flips, halves], updated in place
     for i, (f, h) in enumerate(gens):
-        for pivot, (rf, rh) in rows.items():
+        for pivot, rf, rh in rows:
             if f & pivot:
                 f ^= rf
                 h ^= rh
         if not f:
             return i
         pivot = f & -f
-        rows = {q: (rf ^ f, rh ^ h) if rf & pivot else (rf, rh)
-                for q, (rf, rh) in rows.items()}
-        rows[pivot] = (f, h)
+        for row in rows:
+            if row[1] & pivot:
+                row[1] ^= f
+                row[2] ^= h
+        rows.append([pivot, f, h])
     assert len(rows) < n, "sign span is not proper"
     assert len(rows) == n - 1, "sign span has index greater than 2"
-    free = ((1 << n) - 1) ^ sum(rows)
-    sigma = free | sum(pivot for pivot, (rf, _) in rows.items() if rf & free)
+    free = ((1 << n) - 1) ^ sum([row[0] for row in rows])
+    sigma = free | sum([pivot for pivot, rf, _ in rows if rf & free])
     lams = [0] * n
-    for pivot, (_, h) in rows.items():
+    for pivot, _, h in rows:
         while h:
             low = h & -h
             lams[low.bit_length() - 1] |= pivot

@@ -98,7 +98,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--long", action="store_true",
                        help="allow long-running dimensions (6 and up)")
         p.add_argument("--budget", type=_seconds, default=None,
-                       help="time budget in seconds for long mode")
+                       help="time budget in seconds for the whole command")
         p.add_argument("--workers", type=_natural, default=1,
                        help="process count for enumeration")
 
@@ -151,10 +151,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--other", required=True)
 
     return top
-
-
-def _gen_strings(gens) -> list[str]:
-    return [f"{sv.to_string()}:{tc.to_string()}" for sv, tc in gens]
 
 
 def _keyed(q) -> dict:
@@ -228,7 +224,7 @@ def cmd_embed_mono(p, args) -> dict:
     w = constructions.embed_up_mono(p)
     return {
         "target": format_group(w.target),
-        "images": _gen_strings(w.images),
+        "images": list(map(core._generator_text, w.images)),
         "escaped_translation_doubled": list(w.escaped.trans2),
         "normal": w.normal,
     }
@@ -241,8 +237,8 @@ def cmd_semidirect(p, args) -> dict:
 def cmd_didicosm_witness(p, args) -> dict:
     w = constructions.didicosm_witness(p)
     return {
-        "first": _gen_strings([w.first])[0],
-        "second": _gen_strings([w.second])[0],
+        "first": core._generator_text(w.first),
+        "second": core._generator_text(w.second),
         "lattice_rank": w.lattice_rank,
         "schreier_rows_doubled": [list(r) for r in w.schreier_rows],
     }

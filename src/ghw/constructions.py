@@ -385,15 +385,13 @@ def _unblocked_pairs(n: int, sigma: int, lams):
         yield from ((f, c) for f in fs if (sigma | f) & bit)
 
 
-def list_reductions(
-    p: GhwPresentation, _keys: Optional[dict] = None
-) -> tuple[ReductionChoice, ...]:
+def list_reductions(p: GhwPresentation) -> tuple[ReductionChoice, ...]:
     """Enumerate every admissible one-step reduction of p: _reductions of
-    its support and cocycle functionals, with _keys as its key memo."""
+    its support and cocycle functionals."""
     _require_valid(p)
     if p.n < 3:
         raise ValueError("cannot reduce below dimension 2")
-    return _reductions(p.n, p.support_mask, p.lams, _keys)
+    return _reductions(p.n, p.support_mask, p.lams)
 
 
 def _reductions(n: int, sigma: int, lams,

@@ -85,101 +85,85 @@ def _check_coords(n: int, mask: int) -> None:
         raise ValueError(f"mask {mask:#x} does not fit in {n} coordinates")
 
 
-class SignVector:
-    """Diagonal orthogonal matrix with +-1 entries, stored as a flip mask.
+class _CoordinateMask:
+    """n coordinates and the mask of those marked, composed by XOR. A
+    subclass names its LETTERS (unmarked, marked), the KIND of string its
+    errors name, its field (an alias of _mask) and its operator (_compose)."""
 
-    Bit i-1 set means the entry at coordinate i is -1. The group law is XOR;
-    the identity is the zero mask.
-    """
+    __slots__ = ("n", "_mask")
 
-    __slots__ = ("n", "flips")
+    def __init_subclass__(cls):
+        # Text to bits, lowest first, and back. _BITS sends a 0 or 1 that is
+        # not a letter to x, so every 0 and 1 it gives comes from a letter.
+        cls._BITS = str.maketrans("01" + cls.LETTERS, "xx01")
+        cls._TEXT = str.maketrans("01", cls.LETTERS)
 
-    def __init__(self, n: int, flips: int):
-        _check_coords(n, flips)
+    def __init__(self, n: int, mask: int):
+        _check_coords(n, mask)
         self.n = n
-        self.flips = flips
+        self._mask = mask
 
     @classmethod
-    def from_string(cls, text: str) -> "SignVector":
-        mask = 0
-        for i, ch in enumerate(text):
-            if ch == "-":
-                mask |= 1 << i
-            elif ch != "+":
-                raise ValueError(f"bad sign character {ch!r}")
-        return cls(len(text), mask)
+    def from_string(cls, text: str):
+        """The value whose text is one letter per coordinate."""
+        bits = text.translate(cls._BITS)
+        bad = len(bits) - len(bits.lstrip("01"))  # the first non-letter
+        if bad < len(text):
+            raise ValueError(f"bad {cls.KIND} character {text[bad]!r}")
+        return cls(len(text), int(bits[::-1] or "0", 2))
 
     def to_string(self) -> str:
-        return "".join("-" if self.flips >> i & 1 else "+" for i in range(self.n))
+        return format(self._mask, f"0{self.n}b")[::-1].translate(self._TEXT)
 
-    def __mul__(self, other: "SignVector") -> "SignVector":
+    def _compose(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} != {other.n}")
-        return SignVector(self.n, self.flips ^ other.flips)
+        return type(self)(self.n, self._mask ^ other._mask)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignVector)
-            and self.n == other.n
-            and self.flips == other.flips
-        )
+        return (type(other) is type(self) and self.n == other.n
+                and self._mask == other._mask)
 
     def __hash__(self) -> int:
-        return hash((SignVector, self.n, self.flips))
+        return hash((type(self), self.n, self._mask))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {self.to_string()!r})"
+
+
+class SignVector(_CoordinateMask):
+    """Diagonal orthogonal matrix with +-1 entries, stored as a flip mask.
+
+    Bit i-1 set means the entry at coordinate i is -1. The group law is
+    XOR, written *.
+    """
+
+    __slots__ = ()
+    LETTERS = "+-"
+    KIND = "sign"
+    flips = _CoordinateMask._mask
+    __mul__ = _CoordinateMask._compose
 
     @property
     def parity(self) -> int:
         """Determinant exponent: 0 for det +1, 1 for det -1."""
         return self.flips.bit_count() & 1
 
-    def __repr__(self) -> str:
-        return f"SignVector({self.n}, {self.to_string()!r})"
 
-
-class TranslationClass:
+class TranslationClass(_CoordinateMask):
     """Translation vector modulo Z^n with entries in {0, 1/2}, as a bitmask.
 
     Bit i-1 set means coordinate i carries 1/2. Under the group law the sign
-    action on these classes is trivial, so they add by XOR.
+    action on these classes is trivial, so they add by XOR, written +.
     """
 
-    __slots__ = ("n", "halves")
-
-    def __init__(self, n: int, halves: int):
-        _check_coords(n, halves)
-        self.n = n
-        self.halves = halves
-
-    @classmethod
-    def from_string(cls, text: str) -> "TranslationClass":
-        mask = 0
-        for i, ch in enumerate(text):
-            if ch == "H":
-                mask |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"bad translation character {ch!r}")
-        return cls(len(text), mask)
-
-    def to_string(self) -> str:
-        return "".join("H" if self.halves >> i & 1 else "0" for i in range(self.n))
-
-    def __add__(self, other: "TranslationClass") -> "TranslationClass":
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return TranslationClass(self.n, self.halves ^ other.halves)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TranslationClass)
-            and self.n == other.n
-            and self.halves == other.halves
-        )
-
-    def __hash__(self) -> int:
-        return hash((TranslationClass, self.n, self.halves))
-
-    def __repr__(self) -> str:
-        return f"TranslationClass({self.n}, {self.to_string()!r})"
+    __slots__ = ()
+    LETTERS = "0H"
+    KIND = "translation"
+    halves = _CoordinateMask._mask
+    __add__ = _CoordinateMask._compose
 
 
 def expand_cocycle(gens) -> dict[int, int]:
@@ -496,8 +480,8 @@ def apply_coboundary(p: GhwPresentation, shift_mask: int) -> GhwPresentation:
 
 
 # Group literal format: dim=N; gens=+--:HH0,-+-:0HH
-# Signs over {+,-}, translations over {0,H}, one sign and one translation
-# string of length N per generator, comma separated.
+# One sign and one translation string of length N per generator, in the
+# LETTERS of SignVector and TranslationClass, comma separated.
 
 _DIGITS = "0123456789"
 # Far above any dimension, and far below the length at which int() of a
@@ -543,14 +527,19 @@ class _Cursor:
             self.fail(f"integer has more than {_INT_DIGITS} digits", start)
         return int(digits or "0")
 
-    def read_run(self, alphabet: str, what: str) -> tuple[str, int]:
+    def read_mask(self, cls, n: int):
+        """A run of cls's letters of length n, as a cls."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in alphabet:
+        letters = cls.LETTERS
+        while self.pos < len(self.text) and self.text[self.pos] in letters:
             self.pos += 1
         if self.pos == start:
-            self.fail(f"expected {what}")
-        return self.text[start:self.pos], start
+            self.fail(f"expected a {cls.KIND} string over {letters}")
+        if self.pos - start != n:
+            self.fail(f"{cls.KIND} string has length {self.pos - start}, "
+                      f"expected {n}", start)
+        return cls.from_string(self.text[start:self.pos])
 
 
 def parse_group(text: str) -> GhwPresentation:
@@ -575,21 +564,13 @@ def parse_group(text: str) -> GhwPresentation:
     cur.expect("=")
     gens = []
     while True:
-        signs, at = cur.read_run("+-", "a sign string over +-")
-        if len(signs) != n:
-            cur.fail(f"sign string has length {len(signs)}, expected {n}", at)
+        sv = cur.read_mask(SignVector, n)
         cur.expect(":")
-        trans, at = cur.read_run("0H", "a translation string over 0H")
-        if len(trans) != n:
-            cur.fail(f"translation string has length {len(trans)}, expected {n}", at)
-        gens.append(
-            (SignVector.from_string(signs), TranslationClass.from_string(trans))
-        )
+        gens.append((sv, cur.read_mask(TranslationClass, n)))
         cur.skip_ws()
-        if cur.pos < len(cur.text) and cur.text[cur.pos] == ",":
-            cur.pos += 1
-            continue
-        break
+        if not cur.text.startswith(",", cur.pos):
+            break
+        cur.pos += 1
     cur.skip_ws()
     if cur.pos != len(cur.text):
         cur.fail("trailing input after generator list")
@@ -598,8 +579,11 @@ def parse_group(text: str) -> GhwPresentation:
     return GhwPresentation(n, gens)
 
 
+def _generator_text(gen) -> str:
+    """One (SignVector, TranslationClass) pair of a group literal."""
+    sv, tc = gen
+    return f"{sv.to_string()}:{tc.to_string()}"
+
+
 def format_group(p: GhwPresentation) -> str:
-    gens = ",".join(
-        f"{sv.to_string()}:{tc.to_string()}" for sv, tc in p.gens
-    )
-    return f"dim={p.n}; gens={gens}"
+    return f"dim={p.n}; gens={','.join(map(_generator_text, p.gens))}"

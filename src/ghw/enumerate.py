@@ -12,6 +12,7 @@ changes act trivially on translation classes.
 from __future__ import annotations
 
 import json
+import reprlib
 import time
 from contextlib import nullcontext
 from functools import cached_property, lru_cache
@@ -191,6 +192,13 @@ def _entry_from_cols(n: int, k: int, cols, stab: int) -> CensusEntry:
                        out_order=2 * stab * fields["h1_order"], **fields)
 
 
+def _deadline(budget: float | None, long_mode: bool) -> float | None:
+    """The time.monotonic deadline of a call that starts now."""
+    if budget is None and long_mode:
+        budget = DEFAULT_BUDGET
+    return None if budget is None else time.monotonic() + budget
+
+
 def _support_entries(n: int, k: int, deadline: float | None):
     try:
         leaves = _kernels.census_leaves(n, k, deadline)
@@ -228,9 +236,7 @@ def enumerate_census(
             f"dimension {n} is enumerable only in long mode"
         )
     _check_run_limits(budget, workers)
-    if budget is None and long_mode:
-        budget = DEFAULT_BUDGET
-    deadline = time.monotonic() + budget if budget is not None else None
+    deadline = _deadline(budget, long_mode)
     sizes = [len(s) for s in hyperplane_classes(n)]
     procs = min(workers, len(sizes))
     entries = []
@@ -279,20 +285,30 @@ def censuses(
     """The census of every dimension 2..max_dim, keyed by dimension.
 
     Dimensions below LONG_MODE_DIM come from cached_census; from there on
-    each is enumerated under the given long mode, budget and workers. The
-    dimension cap, budget and worker count are checked before any dimension
-    is built.
+    each is enumerated under the given long mode and workers, in the time
+    left of the budget, which bounds the whole call. The dimension cap,
+    budget and worker count are checked before any dimension is built.
     """
+    return _censuses(max_dim, long_mode, budget, workers)[0]
+
+
+def _censuses(max_dim: int, long_mode: bool, budget: float | None,
+              workers: int) -> tuple[dict[int, Census], float | None]:
+    """censuses, and the deadline it set for the rest of its caller."""
     _check_cap(max_dim)
     _check_run_limits(budget, workers)
+    deadline = _deadline(budget, long_mode)
     out = {}
     for n in range(2, max_dim + 1):
         if n >= LONG_MODE_DIM:
-            out[n] = enumerate_census(n, long_mode=long_mode, budget=budget,
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                raise BudgetExhausted(f"no time left for dim {n}")
+            out[n] = enumerate_census(n, long_mode=long_mode, budget=left,
                                       workers=workers)
         else:
             out[n] = cached_census(n)
-    return out
+    return out, deadline
 
 
 def census_table(
@@ -355,12 +371,17 @@ def census_to_jsonl(census: Census) -> str:
     return "".join(map(_entry_json, census.entries))
 
 
+# Echoes a value read from a census line, cut past MAX_DIM + 1 list items.
+_echo = reprlib.Repr()
+_echo.maxlist = _echo.maxtuple = MAX_DIM + 1
+
+
 def _coordinates_mask(coords, n: int) -> int:
     """The mask of a list of strictly increasing coordinates, each an int
     in 1..n, in one pass. Coordinates out of order (or that do not
     compare) are reported before one outside 1..n, wherever each stands."""
     if type(coords) is not list:
-        raise ValueError(f"coordinates {coords!r} are not a list")
+        raise ValueError(f"coordinates {_echo.repr(coords)} are not a list")
     mask = 0
     last = 0  # the previous coordinate; 0 bounds the first one below
     outside = ()
@@ -369,15 +390,17 @@ def _coordinates_mask(coords, n: int) -> int:
             if type(i) is int and last < i <= n:
                 mask |= 1 << (i - 1)
             elif (mask or outside) and not last < i:
-                raise ValueError(f"coordinates {coords!r} are not increasing")
+                raise ValueError(
+                    f"coordinates {_echo.repr(coords)} are not increasing")
             else:
                 outside = outside or (i,)
             last = i
     except TypeError:
         raise ValueError(
-            f"coordinates {coords!r} are not increasing") from None
+            f"coordinates {_echo.repr(coords)} are not increasing") from None
     if outside:
-        raise ValueError(f"coordinate {outside[0]!r} is outside 1..{n}")
+        raise ValueError(
+            f"coordinate {_echo.repr(outside[0])} is outside 1..{n}")
     return mask
 
 
@@ -450,7 +473,7 @@ def _entry_from_json(obj: dict) -> CensusEntry:
     """
     n = obj["dim"]
     if type(n) is not int or not 2 <= n <= MAX_DIM:
-        raise ValueError(f"dim {n!r} is outside 2..{MAX_DIM}")
+        raise ValueError(f"dim {_echo.repr(n)} is outside 2..{MAX_DIM}")
     checked = _checked_generators(n, obj)
     if checked is None:
         raise _refusal(n, obj)
@@ -462,14 +485,14 @@ def _entry_from_json(obj: dict) -> CensusEntry:
     fields = _fields(n, sigma)
     for name, typed in _typed_fields(n, sigma):
         if _typed(obj[name]) != typed:
-            raise ValueError(f"{name} {obj[name]!r} differs from "
+            raise ValueError(f"{name} {_echo.repr(obj[name])} differs from "
                              f"{fields[name]!r}, which the generators give")
     out = obj["out_order"]
     twice_h1 = 2 * fields["h1_order"]
     if not (type(out) is int and out > 0 and out % twice_h1 == 0
             and factorial(k) * factorial(n - k) % (out // twice_h1) == 0):
-        raise ValueError(f"out_order {out!r} is not {twice_h1} times a "
-                         f"divisor of {k}! * {n - k}!")
+        raise ValueError(f"out_order {_echo.repr(out)} is not {twice_h1} "
+                         f"times a divisor of {k}! * {n - k}!")
     return CensusEntry(n=n, gens=gens, key=key, out_order=out, **fields)
 
 

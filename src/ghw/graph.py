@@ -8,6 +8,7 @@ deterministic byte-for-byte.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from itertools import groupby
 from typing import NamedTuple, Optional
@@ -15,7 +16,7 @@ from typing import NamedTuple, Optional
 from . import _kernels
 from .constructions import ReductionChoice, _reductions
 from .core import GhwError
-from .enumerate import Census, censuses
+from .enumerate import BudgetExhausted, Census, _censuses
 
 
 class UnknownVertex(GhwError):
@@ -148,15 +149,15 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     """Assemble the graph for dimensions 2 through max_dim.
 
     The censuses come from enumerate.censuses under the given long mode,
-    budget and workers. For every entry of dimension d >= 3 each distinct
-    reduction class contributes one edge, witnessed by the first choice (in
-    scan order) that lands in the class. Entries are reduced from their
-    generators' functionals, without a presentation.
+    budget and workers; the budget bounds the whole call. For every entry
+    of dimension d >= 3 each distinct reduction class contributes one edge,
+    witnessed by the first choice (in scan order) that lands in the class.
+    Entries are reduced from their generators' functionals, without a
+    presentation.
     """
     if max_dim < 2:
         raise ValueError("max_dim must be at least 2")
-    by_dim = censuses(max_dim, long_mode=long_mode, budget=budget,
-                      workers=workers)
+    by_dim, deadline = _censuses(max_dim, long_mode, budget, workers)
 
     vertices = []
     for d in range(2, max_dim + 1):
@@ -170,7 +171,10 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     edges = []
     keys: dict = {}  # _reductions' key memo, for this build only
     for d in range(3, max_dim + 1):
-        for entry in by_dim[d].entries:
+        for i, entry in enumerate(by_dim[d].entries):
+            if (deadline is not None and i % 256 == 0
+                    and time.monotonic() > deadline):
+                raise BudgetExhausted(f"reductions of dim {d}")
             sigma, lams = _kernels.generator_functionals(d, entry.gens)
             first: dict[bytes, ReductionChoice] = {}
             for choice in _reductions(d, sigma, lams, keys):

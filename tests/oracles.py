@@ -292,10 +292,18 @@ def brute_perms(n: int, k: int) -> list:
     return out
 
 
+def depth_perms(tab, d) -> list:
+    """The perms of tab that map {0..d} onto itself, by the plain filter:
+    each of inv[:d+1] is at most d."""
+    return [p for p in tab.perms if all(i <= d for i in p[0][:d + 1])]
+
+
 def brute_first_position(tab, d, i, r) -> tuple:
-    """Least position-0 value of rank r over the perms of tab.stab[d] that
-    move old coordinate i to position 0, and the set of those reaching it."""
-    vals = {p: tab.red[0][p[1][r]] for p in tab.stab[d] if p[0][0] == i}
+    """Least position-0 value of rank r over the perms of depth_perms(tab, d)
+    that move old coordinate i to position 0, and the set of those reaching
+    it."""
+    vals = {p: tab.red[0][p[1][r]]
+            for p in depth_perms(tab, d) if p[0][0] == i}
     low = min(vals.values())
     return low, {p for p, v in vals.items() if v == low}
 

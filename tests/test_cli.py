@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -46,6 +47,18 @@ class TestEnumerate:
                            "--budget", "0.2")
         assert code == 2
         assert "budget exhausted" in err
+
+    def test_budget_spent_between_dimensions_exits_2(self, capsys,
+                                                     monkeypatch):
+        # --budget bounds the whole command: a clock that passes it before
+        # dim 6 starts exits 2, not 1 for a budget that is not positive.
+        ghw.enumerate.censuses(5)
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+        code, out, err = run(capsys, "table", "--max-dim", "6", "--long",
+                             "--budget", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "ghw: budget exhausted: no time left for dim 6\n"
 
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "enumerate", "--dim", "9", "--long")

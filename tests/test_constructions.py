@@ -29,6 +29,7 @@ from ghw.constructions import (
     realize_representation,
     reduce,
     semidirect_minus_id,
+    _reductions,
     _unblocked_pairs,
 )
 from oracles import (
@@ -152,7 +153,7 @@ class TestListReductions:
         for p in groups:
             want = brute_list_reductions(p)
             assert list_reductions(p) == want
-            assert list_reductions(p, keys) == want
+            assert _reductions(p.n, p.support_mask, p.lams, keys) == want
         assert keys
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import ghw.core as core
 from ghw.core import (
     MAX_DIM,
     DependentGenerators,
+    DimensionMismatch,
     GhwPresentation,
     InvalidPresentation,
     ParseError,
@@ -63,6 +65,10 @@ class TestSignVector:
         with pytest.raises(ValueError):
             SignVector.from_string("+0-")
 
+    def test_parity(self):
+        assert SignVector(3, 0b110).parity == 0
+        assert SignVector(3, 0b100).parity == 1
+
 
 class TestTranslationClass:
     def test_string_round_trip(self):
@@ -74,6 +80,66 @@ class TestTranslationClass:
         a = TranslationClass(3, 0b011)
         b = TranslationClass(3, 0b110)
         assert (a + b).halves == 0b101
+
+
+class TestCoordinateMasks:
+    """What SignVector and TranslationClass share: text, repr, equality,
+    the dimension check of the group law, slots and pickling."""
+
+    @pytest.mark.parametrize("cls, letters", [
+        (SignVector, "+-"), (TranslationClass, "0H")])
+    def test_text_of_every_mask(self, cls, letters):
+        for n in range(1, MAX_DIM + 1):
+            for m in range(1 << n):
+                text = "".join(letters[m >> i & 1] for i in range(n))
+                v = cls(n, m)
+                assert v.to_string() == text
+                assert cls.from_string(text) == v
+                assert hash(cls.from_string(text)) == hash(v)
+
+    @pytest.mark.parametrize("cls, text, message", [
+        (SignVector, "+0-", "bad sign character '0'"),
+        (SignVector, "+-1", "bad sign character '1'"),
+        (SignVector, "-H", "bad sign character 'H'"),
+        (TranslationClass, "0+H", "bad translation character '+'"),
+        (TranslationClass, "0H1", "bad translation character '1'"),
+        (TranslationClass, "h", "bad translation character 'h'"),
+        (SignVector, "", "dimension 0 out of range 1..64"),
+        (TranslationClass, "", "dimension 0 out of range 1..64"),
+    ])
+    def test_refused_text(self, cls, text, message):
+        with pytest.raises(ValueError) as info:
+            cls.from_string(text)
+        assert str(info.value) == message
+
+    def test_reprs(self):
+        assert repr(SignVector(3, 0b110)) == "SignVector(3, '+--')"
+        assert repr(TranslationClass(3, 0b011)) == "TranslationClass(3, 'HH0')"
+
+    def test_the_two_types_differ(self):
+        assert SignVector(3, 1) != TranslationClass(3, 1)
+        assert TranslationClass(3, 1) != SignVector(3, 1)
+        assert SignVector(3, 1) != SignVector(4, 1)
+        # At least one of the two texts names the type it cannot take.
+        with pytest.raises((AttributeError, TypeError)):
+            SignVector(3, 1) * TranslationClass(3, 1)
+        with pytest.raises((AttributeError, TypeError)):
+            TranslationClass(3, 1) + SignVector(3, 1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch) as info:
+            SignVector(3, 1) * SignVector(4, 1)
+        assert str(info.value) == "3 != 4"
+        with pytest.raises(DimensionMismatch) as info:
+            TranslationClass(3, 1) + TranslationClass(4, 1)
+        assert str(info.value) == "3 != 4"
+
+    def test_slots_and_pickle(self):
+        for v in (SignVector(3, 0b110), TranslationClass(3, 0b011)):
+            assert not hasattr(v, "__dict__")
+            back = pickle.loads(pickle.dumps(v))
+            assert back == v and type(back) is type(v)
+            assert repr(back) == repr(v)
 
 
 class TestExpandCocycle:
@@ -118,6 +184,20 @@ class TestParseFormat:
     def test_error_on_wrong_length(self):
         with pytest.raises(ParseError):
             parse_group("dim=3; gens=+-:HH0,-+-:0HH")
+
+    @pytest.mark.parametrize("text, message", [
+        ("dim=3; gens=x", "expected a sign string over +- (line 1, column 13)"),
+        ("dim=3; gens=+-:HH0,-+-:0HH",
+         "sign string has length 2, expected 3 (line 1, column 13)"),
+        ("dim=3; gens=+--:X",
+         "expected a translation string over 0H (line 1, column 17)"),
+        ("dim=3; gens=+--:HH,-+-:0HH",
+         "translation string has length 2, expected 3 (line 1, column 17)"),
+    ])
+    def test_generator_error_texts(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_group(text)
+        assert str(info.value) == message
 
     def test_multiline_position(self):
         with pytest.raises(ParseError) as info:

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -420,6 +422,24 @@ class TestJsonlChecks:
                                    f"{coordinate!r} is outside 1..4")
         assert len(str(info.value)) < 100
 
+    @pytest.mark.parametrize("edit, start", [
+        (lambda obj: obj["generators"][0].update(
+            flips=list(range(100_000, 0, -1))),
+         "generators: coordinates [100000, 99999, "),
+        (lambda obj: obj["generators"][0].update(flips="1" * 100_000),
+         "generators: coordinates '1111"),
+        (lambda obj: obj["generators"][0].update(flips=[[1] * 100_000]),
+         "generators: coordinate [1, 1, "),
+        (lambda obj: obj.update(betti=[0] * 100_000), "betti [0, 0, "),
+        (lambda obj: obj.update(dim="3" * 100_000), "dim '3333"),
+    ])
+    def test_long_values_give_short_texts(self, edit, start):
+        # A value read from the line is echoed cut short, however long.
+        with pytest.raises(ValueError) as info:
+            census_from_jsonl(_edited(4, 2, edit))
+        assert str(info.value).startswith(f"census line 3: {start}")
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("n", range(3, 8))
     @pytest.mark.parametrize("odd_span", [True, False])
     def test_random_generators_text(self, n, odd_span):
@@ -536,3 +556,20 @@ class TestCensuses:
     def test_workers_checked_by_enumerate_census(self):
         with pytest.raises(ValueError):
             enumerate_census(3, workers=0)
+
+    def test_one_budget_for_every_dimension(self, monkeypatch):
+        # The call's one deadline is set when it starts. Each read of the
+        # clock advances it by a second, so the deadline passes while dims
+        # 2-5 are read, and dim 6 is refused before it is walked.
+        import ghw.enumerate as enum_mod
+
+        censuses(5)
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("dimension 6 was walked")
+
+        monkeypatch.setattr(enum_mod._kernels, "census_leaves", boom)
+        with pytest.raises(BudgetExhausted, match="no time left for dim 6"):
+            censuses(6, long_mode=True, budget=0.5)

@@ -1,7 +1,10 @@
+import itertools
 import json
+import time
 
 import pytest
 
+from ghw.enumerate import BudgetExhausted, censuses
 from ghw.graph import (
     Disconnected,
     UnknownVertex,
@@ -19,6 +22,17 @@ DIDICOSM_KEY = bytes.fromhex("03030a0606")
 @pytest.fixture(scope="module")
 def graph5():
     return build_graph(5)
+
+
+def test_budget_bounds_the_reductions(monkeypatch):
+    # The deadline set when build_graph starts is checked in its reduction
+    # loop. Each read of the clock advances it by a second: the reductions
+    # of dims 3 and 4 start in time, and those of dim 5 do not.
+    censuses(5)
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    with pytest.raises(BudgetExhausted, match="reductions of dim 5"):
+        build_graph(5, budget=2.5)
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,7 @@ from oracles import (
     brute_table_stabilizer,
     cocycle_columns,
     cocycle_table,
+    depth_perms,
     presentation_from_columns,
     random_generators,
     table_functionals,
@@ -210,9 +211,8 @@ def test_least_cuts_exactly_below_ref(n):
         tab, ranks = normalized_ranks(p)
         canon = _kernels.canonical(tab, ranks)
         for d in range(n):
-            stab = tab.stab[d]
             prefix = ranks[:d + 1]
-            want, hits = brute_least(tab, stab, prefix)
+            want, hits = brute_least(tab, depth_perms(tab, d), prefix)
             refs = (prefix, canon[:d + 1],
                     tuple(rng.choice(tab.cands[j]) for j in range(d + 1)))
             for ref in refs:
@@ -235,12 +235,22 @@ def test_dimension_7_cells_pinned(n, k):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_stab_lists_match_filtered_perms(n):
-    # build_tables's one-pass stabilizer lists against the plain filter.
+    # The stabilizer lists of each depth d, the perms that map {0..d} onto
+    # itself, as first_position holds them: row i holds, over its ranks,
+    # exactly the perms that the plain filter keeps at that depth and that
+    # move old coordinate i to position 0.
     for k in range(1, n + 1, 2):
         tab = build_tables(n, k)
-        assert tab.stab == tuple(
-            tuple(p for p in tab.perms if all(i <= d for i in p[0][:d + 1]))
-            for d in range(n))
+        for d in range(n):
+            kept = depth_perms(tab, d)
+            rows = _kernels.first_position(n, k, d)
+            assert len(rows) == min(d, k - 1) + 1
+            for i, row in enumerate(rows):
+                want = tuple(p for p in kept if p[0][0] == i)
+                # Every perm fixes rank 0, the least value, so the cell of
+                # rank 0 holds them all, in the order of perms.
+                assert row[0] == (0, want), (k, d, i)
+                assert {p for _, perms in row for p in perms} == set(want)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -257,12 +267,13 @@ def test_perms_match_brute_list(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_first_position_matches_brute(n):
     # Every cell of every depth's table against the minimum and the
-    # minimizers recomputed over the perms of stab[d] with inv[0] = i.
+    # minimizers recomputed over the perms of depth d with inv[0] = i.
     for k in range(1, n + 1, 2):
         tab = build_tables(n, k)
         for d in range(n):
             rows = _kernels.first_position(n, k, d)
-            assert {p[0][0] for p in tab.stab[d]} == set(range(len(rows)))
+            assert {p[0][0] for p in depth_perms(tab, d)} == set(
+                range(len(rows)))
             for i, row in enumerate(rows):
                 assert len(row) == tab.T
                 for r, (low, perms) in enumerate(row):
