@@ -5,8 +5,9 @@ holonomy acts diagonally, so Z^n is the sum of the rank-1 modules Z_chi,
 one per coordinate character chi, and H^1 splits with it: 0 for a
 trivial chi (Hom(G, Z) = 0 for the finite G), Z/2 for a nontrivial one.
 Hence |H^1| = 2^(n - b1) in closed form. The Smith normal form, integer
-solving and kernel bases below are exact Python-int tools; the didicosm
-witness uses them.
+solving and kernel bases below are exact Python-int tools and public API.
+Nothing else in the package calls them; the tests use them as the
+reference for |H^1| and for the didicosm witness.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import _kernels
-from .cohomology import smith_normal_form, solve_integer
 from .core import (
     DependentGenerators,
     GhwError,
@@ -56,7 +55,7 @@ class NotOriented(GhwError):
 
 
 class NoWitness(GhwError):
-    """No generating pair passes the subgroup verification."""
+    """The didicosm witness does not cover the group (b1 = 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +568,13 @@ def embed_up_mono(p: GhwPresentation) -> MonoEmbedding:
 class DidicosmWitness(NamedTuple):
     """Two holonomy elements generating a didicosm subgroup.
 
-    Verification data: the Schreier generators of the intersection with
-    the translations span a rank-3 lattice on which the quotient acts
-    faithfully and without fixed vectors, and no nontrivial coset meets
-    the translations, so the subgroup is the 3-dimensional member of the
-    gamma family up to affine equivalence.
+    ``first`` is the co-flip of the least support coordinate and
+    ``second`` the first generator that flips it, each with its standard
+    lift's half steps. ``schreier_rows`` are the doubled translations of
+    the nonzero Schreier generators of the subgroup's intersection with
+    the translations; they span its rank-3 lattice (``lattice_rank``).
+    didicosm_witness proves the subgroup is the 3-dimensional member of
+    the gamma family.
     """
 
     first: tuple[SignVector, TranslationClass]
@@ -583,100 +584,60 @@ class DidicosmWitness(NamedTuple):
 
 
 def didicosm_witness(p: GhwPresentation) -> DidicosmWitness:
-    """Find two elements of p generating a didicosm subgroup.
+    """Two elements of p generating a didicosm subgroup, for b1(p) = 0.
 
-    Scans pairs (g1, g2) with g1 the co-flip of a support coordinate and
-    g2 any holonomy element moving that coordinate, in sorted order, and
-    returns the first pair that passes the exact verification.  Inputs
-    with nonzero first Betti number are rejected up front: a centralizing
-    translation would survive into any subgroup of finite index.
+    Let c be the least support coordinate. A valid group's support is odd,
+    and b1 = 0 makes it hold at least three coordinates. So a = full ^ e_c,
+    even on the support, lies in H, as do the co-flips of the other support
+    coordinates, which flip c; the generators span H, so one of them, b,
+    flips c. a fixes only c, so a and b fix no coordinate in common, and
+    the lifts x of a and y of b generate the didicosm:
+
+    - Conjugating by a real translation clears x's translation outside c
+      and y's on c. Then x translates by t e_c and y by u + w, with u on
+      the coordinates b fixes and w on those both flip. Every word's
+      translation lies in the span of e_c, u and w, so the lattice has
+      rank at most 3.
+    - The group is torsion-free, so x^2, y^2 and (xy)^2 translate by
+      nonzero vectors on the coordinates fixed by a, by b and by ab: c,
+      the fixed set of b, and the flips of b other than c. These sets
+      are disjoint, so the lattice has rank 3. b and ab move x^2 and a
+      moves y^2, so the holonomy acts faithfully on the lattice.
+    - No coordinate is fixed by both a and b, so no lattice vector is
+      fixed by the holonomy, and <x, y> is torsion-free with the group.
+
+    A torsion-free crystallographic group of rank 3 with holonomy Z_2^2
+    and b1 = 0 is the didicosm. A scan of every co-flip and every element
+    moving its coordinate, in that order, each pair checked by Smith
+    normal forms, finds this pair first.
+
+    Raises NoWitness when b1 = 1. The support is then one coordinate,
+    which no element of H flips, so there is no co-flip pair. Such a
+    group may still contain a didicosm subgroup; this search does not
+    cover it.
     """
     _require_valid(p)
     n = p.n
-    full = (1 << n) - 1
     if first_betti(p):
-        raise NoWitness("positive first Betti number leaves no such subgroup")
-    # Generator masks go first so a group that is itself three-dimensional
-    # comes back with its own generating pair.
-    pool = [sv.flips for sv, _ in p.gens]
-    pool += sorted(set(p.elements) - set(pool))
-    # A valid group's support is odd, so each co-flip g1 lies in H.
-    for coord in p.support:
-        g1 = full ^ (1 << (coord - 1))
-        for g2 in pool:
-            if g2 == 0 or g2 == g1 or not g2 >> (coord - 1) & 1:
-                continue
-            witness = _verify_didicosm_pair(p, g1, g2)
-            if witness is not None:
-                return witness
-    raise NoWitness("no generating pair passes verification")
-
-
-def _verify_didicosm_pair(
-    p: GhwPresentation, g1: int, g2: int
-) -> Optional[DidicosmWitness]:
-    """Exact check that <g1 lift, g2 lift> is a didicosm group.
-
-    Works with the doubled-integer affine model.  The subgroup meets the
-    translations in the lattice spanned by the eight Schreier generators
-    coming from the four-element quotient; the pair is accepted when
-    that lattice has rank 3, the quotient acts faithfully with no fixed
-    vectors in the rational span, and each nontrivial coset avoids the
-    translations (no torsion).
-    """
-    n = p.n
+        raise NoWitness(
+            "a singleton support gives no co-flip pair; this search "
+            "covers only groups with b1 = 0")
+    c = p.support_mask & -p.support_mask
+    g1 = ((1 << n) - 1) ^ c
+    g2 = next(sv.flips for sv, _ in p.gens if sv.flips & c)
     x = _affine_of(n, g1, p.s(g1).halves)
     y = _affine_of(n, g2, p.s(g2).halves)
     one = AffineMap(n, 0, (0,) * n)
     reps = {0: one, g1: x, g2: y, g1 ^ g2: x * y}
-    if len(reps) != 4:
-        return None
-
     rows = []
     for t in reps.values():
         for z in (x, y):
             w = t * z
             u = w * reps[w.mask].inverse()
-            assert u.mask == 0
-            rows.append(list(u.trans2))
-    lattice = [r for r in rows if any(r)]
-    if not lattice:
-        return None
-    if smith_normal_form(lattice).rank != 3:
-        return None
-
-    # Faithful on the lattice: each nontrivial quotient element must move
-    # some lattice vector, i.e. flip a coordinate where the lattice is
-    # nonzero.
-    for h in (g1, g2, g1 ^ g2):
-        moved = any(
-            r[i] for r in lattice for i in range(n) if h >> i & 1
-        )
-        if not moved:
-            return None
-
-    # No fixed vectors: restricting the lattice to the coordinates moved
-    # by at least one of g1, g2 must keep rank 3.
-    moved_cols = [i for i in range(n) if (g1 | g2) >> i & 1]
-    restricted = [[r[i] for i in moved_cols] for r in lattice]
-    if smith_normal_form(restricted).rank != 3:
-        return None
-
-    # Torsion-free: for each nontrivial coset rep w, a torsion element
-    # exists iff the projection of w's translation to the coordinates w
-    # fixes lies in the projected lattice.
-    for w in (x, y, x * y):
-        fixed = [i for i in range(n) if not w.mask >> i & 1]
-        if not fixed:
-            continue
-        cols = [[r[i] for r in lattice] for i in fixed]
-        rhs = [[-w.trans2[i]] for i in fixed]
-        if solve_integer(cols, rhs) is not None:
-            return None
-
+            rows.append(u.trans2)
     return DidicosmWitness(
         first=(SignVector(n, g1), p.s(g1)),
         second=(SignVector(n, g2), p.s(g2)),
         lattice_rank=3,
-        schreier_rows=tuple(tuple(r) for r in lattice),
+        schreier_rows=tuple(r for r in rows if any(r)),
     )

@@ -286,8 +286,10 @@ def censuses(
 
     Dimensions below LONG_MODE_DIM come from cached_census; from there on
     each is enumerated under the given long mode and workers, in the time
-    left of the budget, which bounds the whole call. The dimension cap,
-    budget and worker count are checked before any dimension is built.
+    left of the budget, which bounds the whole call: it is read before
+    every dimension, cached ones included, and after the last. The
+    dimension cap, budget and worker count are checked before any
+    dimension is built.
     """
     return _censuses(max_dim, long_mode, budget, workers)[0]
 
@@ -300,15 +302,25 @@ def _censuses(max_dim: int, long_mode: bool, budget: float | None,
     deadline = _deadline(budget, long_mode)
     out = {}
     for n in range(2, max_dim + 1):
+        left = _time_left(deadline, f"no time left for dim {n}")
         if n >= LONG_MODE_DIM:
-            left = None if deadline is None else deadline - time.monotonic()
-            if left is not None and left <= 0:
-                raise BudgetExhausted(f"no time left for dim {n}")
             out[n] = enumerate_census(n, long_mode=long_mode, budget=left,
                                       workers=workers)
         else:
             out[n] = cached_census(n)
+    _time_left(deadline, f"no time left after dim {max_dim}")
     return out, deadline
+
+
+def _time_left(deadline: float | None, what: str) -> float | None:
+    """Seconds to the deadline (None without one); BudgetExhausted(what)
+    when none are left."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise BudgetExhausted(what)
+    return left
 
 
 def census_table(

@@ -18,9 +18,12 @@ which computes |H^1| through the package's integer Smith normal form
 (itself checked by ``check_snf``) as the reference for the closed form;
 ``presentation_from_columns``, which rebuilds a census leaf's presentation
 from its columns as the reference for the lean census entries;
-``census_line``, the ``json.dumps`` rendering of a census entry; and
-``reference_edges_json``, the ``json.dumps`` rendering of a graph's edge
-list.
+``verify_didicosm_pair``, which checks a pair's subgroup through the
+package's affine maps and integer Smith normal form, and
+``brute_didicosm_witness``, its scan over pairs, as the references for
+``didicosm_witness``; ``census_line``, the ``json.dumps`` rendering of
+a census entry; and ``reference_edges_json``, the ``json.dumps``
+rendering of a graph's edge list.
 """
 
 from __future__ import annotations
@@ -555,6 +558,103 @@ def brute_list_reductions(p) -> tuple:
         for (f, c), key in brute_reduction_outcomes(p).items()
         if isinstance(key, bytes)
     ))
+
+
+# ---------------------------------------------------------------------------
+# didicosm witness
+
+
+def verify_didicosm_pair(p, g1: int, g2: int):
+    """Exact check that <g1 lift, g2 lift> is a didicosm group.
+
+    Works with the doubled-integer affine model.  The subgroup meets the
+    translations in the lattice spanned by the eight Schreier generators
+    coming from the four-element quotient; the pair is accepted when
+    that lattice has rank 3, the quotient acts faithfully with no fixed
+    vectors in the rational span, and each nontrivial coset avoids the
+    translations (no torsion).
+    """
+    from ghw.cohomology import smith_normal_form, solve_integer
+    from ghw.constructions import (
+        AffineMap, DidicosmWitness, _affine_of)
+    from ghw.core import SignVector
+
+    n = p.n
+    x = _affine_of(n, g1, p.s(g1).halves)
+    y = _affine_of(n, g2, p.s(g2).halves)
+    one = AffineMap(n, 0, (0,) * n)
+    reps = {0: one, g1: x, g2: y, g1 ^ g2: x * y}
+    if len(reps) != 4:
+        return None
+
+    rows = []
+    for t in reps.values():
+        for z in (x, y):
+            w = t * z
+            u = w * reps[w.mask].inverse()
+            assert u.mask == 0
+            rows.append(list(u.trans2))
+    lattice = [r for r in rows if any(r)]
+    if not lattice:
+        return None
+    if smith_normal_form(lattice).rank != 3:
+        return None
+
+    # Faithful on the lattice: each nontrivial quotient element must move
+    # some lattice vector, i.e. flip a coordinate where the lattice is
+    # nonzero.
+    for h in (g1, g2, g1 ^ g2):
+        moved = any(
+            r[i] for r in lattice for i in range(n) if h >> i & 1
+        )
+        if not moved:
+            return None
+
+    # No fixed vectors: restricting the lattice to the coordinates moved
+    # by at least one of g1, g2 must keep rank 3.
+    moved_cols = [i for i in range(n) if (g1 | g2) >> i & 1]
+    restricted = [[r[i] for i in moved_cols] for r in lattice]
+    if smith_normal_form(restricted).rank != 3:
+        return None
+
+    # Torsion-free: for each nontrivial coset rep w, a torsion element
+    # exists iff the projection of w's translation to the coordinates w
+    # fixes lies in the projected lattice.
+    for w in (x, y, x * y):
+        fixed = [i for i in range(n) if not w.mask >> i & 1]
+        if not fixed:
+            continue
+        cols = [[r[i] for r in lattice] for i in fixed]
+        rhs = [[-w.trans2[i]] for i in fixed]
+        if solve_integer(cols, rhs) is not None:
+            return None
+
+    return DidicosmWitness(
+        first=(SignVector(n, g1), p.s(g1)),
+        second=(SignVector(n, g2), p.s(g2)),
+        lattice_rank=3,
+        schreier_rows=tuple(tuple(r) for r in lattice),
+    )
+
+
+def brute_didicosm_witness(p):
+    """The first pair (g1, g2) that verify_didicosm_pair accepts, g1 the
+    co-flip of a support coordinate in increasing order and g2 a nonzero
+    element other than g1 moving that coordinate: the generator masks
+    first, then the rest of H increasing. None when no pair passes."""
+    n = p.n
+    full = (1 << n) - 1
+    pool = [sv.flips for sv, _ in p.gens]
+    pool += sorted(set(p.elements) - set(pool))
+    for coord in p.support:
+        g1 = full ^ (1 << (coord - 1))
+        for g2 in pool:
+            if g2 == 0 or g2 == g1 or not g2 >> (coord - 1) & 1:
+                continue
+            witness = verify_didicosm_pair(p, g1, g2)
+            if witness is not None:
+                return witness
+    return None
 
 
 # ---------------------------------------------------------------------------

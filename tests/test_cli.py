@@ -52,13 +52,30 @@ class TestEnumerate:
                                                      monkeypatch):
         # --budget bounds the whole command: a clock that passes it before
         # dim 6 starts exits 2, not 1 for a budget that is not positive.
+        # Each read advances the clock a second: the deadline is set at
+        # tick 0, dims 2-5 start at ticks 1-4 and dim 6 would at tick 5.
         ghw.enumerate.censuses(5)
         ticks = itertools.count()
         monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
         code, out, err = run(capsys, "table", "--max-dim", "6", "--long",
-                             "--budget", "0.5")
+                             "--budget", "4.5")
         assert (code, out) == (2, "")
         assert err == "ghw: budget exhausted: no time left for dim 6\n"
+
+    @pytest.mark.parametrize("command", ["table", "graph"])
+    @pytest.mark.parametrize("budget, phase", [
+        ("2.5", "for dim 4"), ("4.5", "after dim 5")])
+    def test_budget_spent_in_cached_dimensions_exits_2(
+            self, capsys, monkeypatch, command, budget, phase):
+        # Dims 2-5 come from the memoized census, yet the clock is read
+        # before each of them (ticks 1-4) and after the last (tick 5).
+        ghw.enumerate.censuses(5)
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+        code, out, err = run(capsys, command, "--max-dim", "5",
+                             "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"ghw: budget exhausted: no time left {phase}\n"
 
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "enumerate", "--dim", "9", "--long")
@@ -244,6 +261,15 @@ class TestConstructions:
         obj = json.loads(out)
         assert obj["first"] == "+--:HH0"
         assert obj["lattice_rank"] == 3
+
+    def test_didicosm_witness_refuses_b1_one(self, capsys):
+        # b1 = 1 (singleton support): exit 1 with the scope of the search,
+        # whether or not the group has a didicosm subgroup; this one has.
+        code, out, err = run(capsys, "didicosm-witness", "--group",
+                             "dim=4; gens=+-++:HH00,++-+:H0HH,+++-:HHHH")
+        assert (code, out) == (1, "")
+        assert err == ("ghw: error: a singleton support gives no co-flip "
+                       "pair; this search covers only groups with b1 = 0\n")
 
     def test_out_order(self, capsys):
         code, out, _ = run(capsys, "out-order", "--group", DIDICOSM)

@@ -1,9 +1,13 @@
 import itertools
+import random
+import re
 
 import pytest
 
 from ghw.core import (
     GhwPresentation,
+    SignVector,
+    TranslationClass,
     apply_coboundary,
     parse_group,
     permute_coordinates,
@@ -33,17 +37,22 @@ from ghw.constructions import (
     _unblocked_pairs,
 )
 from oracles import (
+    brute_didicosm_witness,
     brute_list_reductions,
     brute_reduction_outcomes,
     cocycle_table,
     kernel_cut,
+    scrambled_gens,
     table_functionals,
+    verify_didicosm_pair,
 )
 
 DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 KLEIN_KEY = bytes.fromhex("02010200")
 DIDICOSM_KEY = bytes.fromhex("03030a0606")
 K3_KEY = bytes.fromhex("03010a0600")
+NO_WITNESS = ("a singleton support gives no co-flip pair; this search "
+              "covers only groups with b1 = 0")
 
 
 def didicosm():
@@ -318,17 +327,43 @@ class TestDidicosmWitness:
             (2, 0, 0), (-2, 2, 2), (0, 2, 0), (0, -2, -2), (0, -2, 0))
 
     def test_single_support_has_none(self):
-        with pytest.raises(NoWitness):
+        with pytest.raises(NoWitness, match=re.escape(NO_WITNESS)):
             didicosm_witness(klein_group(4))
 
-    @pytest.mark.parametrize("n", (4, 5))
+    @pytest.mark.parametrize("n", (3, 4, 5, 6))
     def test_every_beta1_zero_entry_has_witness(self, n):
+        # The closed-form pair is the one the verified scan returns, on
+        # each entry and on two scrambles of it (a coordinate relabeling
+        # plus a coboundary).
+        rng = random.Random(n)
         for e in cached_census(n).entries:
             if e.beta1 != 0:
                 continue
             w = didicosm_witness(e.presentation)
             assert w.lattice_rank == 3
             assert len(w.schreier_rows) >= 3
+            assert w == brute_didicosm_witness(e.presentation), e.key.hex()
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                q = GhwPresentation(n, [
+                    (SignVector(n, f), TranslationClass(n, h))
+                    for f, h in scrambled_gens(n, e.gens, perm,
+                                               rng.randrange(1 << n))])
+                assert didicosm_witness(q) == brute_didicosm_witness(q)
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_verifier_accepts_exactly_the_bit_test(self, n):
+        # A pair of distinct nonzero holonomy elements generates a
+        # didicosm subgroup iff no coordinate fixed by both carries a
+        # half step of either.
+        full = (1 << n) - 1
+        for e in cached_census(n).entries:
+            p = e.presentation
+            s = {m: p.s(m).halves for m in p.elements}
+            for a, b in itertools.combinations(p.elements[1:], 2):
+                closed = (s[a] | s[b]) & ~(a | b) & full == 0
+                assert (verify_didicosm_pair(p, a, b) is not None) == closed
 
 
 class TestRepresentationSpec:

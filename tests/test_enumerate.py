@@ -558,9 +558,10 @@ class TestCensuses:
             enumerate_census(3, workers=0)
 
     def test_one_budget_for_every_dimension(self, monkeypatch):
-        # The call's one deadline is set when it starts. Each read of the
-        # clock advances it by a second, so the deadline passes while dims
-        # 2-5 are read, and dim 6 is refused before it is walked.
+        # The call's one deadline is set when it starts (tick 0) and read
+        # before every dimension. Each read of the clock advances it by a
+        # second, so dims 2-5 (ticks 1-4) start in time, and dim 6 (tick 5)
+        # is refused before it is walked.
         import ghw.enumerate as enum_mod
 
         censuses(5)
@@ -572,4 +573,4 @@ class TestCensuses:
 
         monkeypatch.setattr(enum_mod._kernels, "census_leaves", boom)
         with pytest.raises(BudgetExhausted, match="no time left for dim 6"):
-            censuses(6, long_mode=True, budget=0.5)
+            censuses(6, long_mode=True, budget=4.5)

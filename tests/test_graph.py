@@ -25,14 +25,16 @@ def graph5():
 
 
 def test_budget_bounds_the_reductions(monkeypatch):
-    # The deadline set when build_graph starts is checked in its reduction
-    # loop. Each read of the clock advances it by a second: the reductions
-    # of dims 3 and 4 start in time, and those of dim 5 do not.
+    # The deadline set when build_graph starts (tick 0) is read before each
+    # census dimension and after the last (ticks 1-5), then in the
+    # reduction loop. Each read of the clock advances it by a second: the
+    # reductions of dims 3 and 4 (ticks 6, 7) start in time, and those of
+    # dim 5 (tick 8) do not.
     censuses(5)
     ticks = itertools.count()
     monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
     with pytest.raises(BudgetExhausted, match="reductions of dim 5"):
-        build_graph(5, budget=2.5)
+        build_graph(5, budget=7.5)
 
 
 @pytest.fixture(scope="module")
