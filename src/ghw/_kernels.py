@@ -64,6 +64,7 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
       needcheck  per coordinate, elements whose last fixed coordinate it is
       cands      per coordinate, sorted reduced ranks
       mask_rank  per mask m of n bits, the rank of m's character on H
+      rep        per rank, the largest mask whose character has it
       perms      the support-preserving coordinate permutations, in no
                  promised order, as (inv, image): new coordinate j takes
                  old coordinate inv[j], and image (bytes) holds at r the
@@ -121,7 +122,7 @@ def build_tables(n: int, k: int) -> SimpleNamespace:
         n=n, k=k, T=T, H=tuple(H), codes=tuple(codes), rank=rank,
         red=tuple(red), colfix=tuple(colfix), needcheck=tuple(needcheck),
         cands=tuple(tuple(sorted(set(r))) for r in red),
-        mask_rank=tuple(mask_rank), perms=tuple(perms),
+        mask_rank=tuple(mask_rank), rep=tuple(rep), perms=tuple(perms),
     )
 
 

@@ -9,6 +9,7 @@ becomes 2.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import _kernels
@@ -371,17 +372,17 @@ class ReductionChoice(NamedTuple):
     key: bytes
 
 
-def _unblocked_pairs(n: int, sigma: int, lams):
-    """The (f, c) pairs list_reductions keys, f < f ^ sigma, c from 0."""
-    every = [f for f in range(1, 1 << n) if f < f ^ sigma]
+def _unblocked(n: int, sigma: int, lams):
+    """Per coordinate c (from 0), the functionals f < f ^ sigma that
+    list_reductions keys at c, as (c, fs); see _reductions."""
     for c in range(n):
         bit = 1 << c
         lam = lams[c]
         if lam in (0, sigma) or lam ^ bit in (0, sigma):
-            fs = every
+            fs = range(1, 1 << n)
         else:
             fs = {min(g, g ^ sigma) for g in (lam, lam ^ bit)}
-        yield from ((f, c) for f in fs if (sigma | f) & bit)
+        yield c, [f for f in fs if f < f ^ sigma and (sigma | f) & bit]
 
 
 def list_reductions(p: GhwPresentation) -> tuple[ReductionChoice, ...]:
@@ -391,6 +392,22 @@ def list_reductions(p: GhwPresentation) -> tuple[ReductionChoice, ...]:
     if p.n < 3:
         raise ValueError("cannot reduce below dimension 2")
     return _reductions(p.n, p.support_mask, p.lams)
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(n: int, c: int, support: int):
+    """The tables of the dimension n - 1 cell that deleting coordinate c
+    (from 0) lands in with this reduced support mask, and per reduced
+    position j the pair (i, row): the old coordinate i that j reads, and
+    the 2^n-byte row x -> red[j][rank of _drop(x) on that cell, the
+    support moved onto {1..k}]. So a reduced table's rank tuple is one
+    row lookup per position, at the adjusted functional of coordinate i.
+    """
+    tab, src, ranks = _kernels._support_ranks(n - 1, support)
+    low = (1 << c) - 1
+    dropped = [ranks[_drop(x, low)] for x in range(1 << n)]
+    return tab, tuple((i + (i >= c), bytes([red[r] for r in dropped]))
+                      for i, red in zip(src, tab.red))
 
 
 def _reductions(n: int, sigma: int, lams,
@@ -417,30 +434,38 @@ def _reductions(n: int, sigma: int, lams,
     and its support has odd size. That support is the drop of g, the one
     element of {sigma, f, f ^ sigma} whose bit c is clear. All three vanish
     on K, so lam_i plus one with bit c set, h, when lam_i has bit c, drops
-    to the reduced table's functional.
+    to the reduced table's functional. When c lies in sigma, h is sigma
+    for every f, so the adjusted functionals are fixed per c and only the
+    support moves with f; otherwise g is sigma and only h = f moves. The
+    rank tuple is read through _reduction_rows.
 
-    keys memoizes the key of each normalized reduced table by
-    (dimension, support size, ranks); build_graph passes one dict per build.
+    keys memoizes the key of each normalized reduced table by (support
+    size, ranks), the ranks as bytes, whose length is the dimension;
+    build_graph passes one dict per build.
     """
     keys = {} if keys is None else keys
     out = []
-    for f, c in _unblocked_pairs(n, sigma, lams):
+    for c, fs in _unblocked(n, sigma, lams):
         bit = 1 << c
         low = bit - 1
-        g, h = ((sigma, f) if not sigma & bit
-                else (f, sigma) if not f & bit else (f ^ sigma, sigma))
-        support = _drop(g, low)
-        tab, ranks = _kernels.functional_ranks(n - 1, support, [
-            _drop(lam ^ h if lam & bit else lam, low)
-            for i, lam in enumerate(lams) if i != c])
-        memo = (n - 1, tab.k, ranks)
-        key = keys.get(memo)
-        if key is None:
-            assert support.bit_count() & 1, "reduced support is even"
-            assert _kernels.torsion_free(tab, ranks), (
-                "unblocked reduction has torsion")
-            key = keys[memo] = _canonical_bytes(tab, ranks)
-        out.append(ReductionChoice(f, c + 1, key))
+        if sigma & bit:
+            adjusted = [lam ^ sigma if lam & bit else lam for lam in lams]
+            cells = [(f, adjusted, _reduction_rows(
+                n, c, _drop(f ^ sigma if f & bit else f, low))) for f in fs]
+        else:
+            rows = _reduction_rows(n, c, _drop(sigma, low))
+            cells = [(f, [lam ^ f if lam & bit else lam for lam in lams], rows)
+                     for f in fs]
+        for f, adjusted, (tab, rows) in cells:
+            ranks = bytes([row[adjusted[i]] for i, row in rows])
+            memo = (tab.k, ranks)
+            key = keys.get(memo)
+            if key is None:
+                assert tab.k & 1, "reduced support is even"
+                assert _kernels.torsion_free(tab, ranks), (
+                    "unblocked reduction has torsion")
+                key = keys[memo] = _canonical_bytes(tab, ranks)
+            out.append(ReductionChoice(f, c + 1, key))
     return tuple(sorted(out))
 
 

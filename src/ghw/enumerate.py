@@ -53,9 +53,9 @@ __all__ = [
 LONG_MODE_DIM = 6
 DEFAULT_BUDGET = 1800.0
 # The largest dimension a census may be built for, checked before any
-# dimension is built. Dimension 7 (100,012 classes) takes about 9 s and
+# dimension is built. Dimension 7 (100,012 classes) takes about 6 s and
 # 97 MB to write as JSONL with `ghw enumerate --dim 7 --long --out`, and
-# about 4.5 s to read back checked (BENCH_jsonl_codec.json, 2 cores); a
+# about 2.3 s to read back checked (BENCH_graph_tables.json, 2 cores); a
 # dimension-8 census, an estimated 3.5 million classes held in memory at
 # once, does not fit.
 CENSUS_MAX_DIM = 7
@@ -80,9 +80,37 @@ def hyperplane_classes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(1, k + 1)) for k in range(1, n + 1, 2))
 
 
+def _key_width(n: int) -> int:
+    """The bytes a key holds each dim-n column code in."""
+    return ((1 << (n - 1)) + 7) // 8
+
+
 def _key_bytes(n: int, k: int, cols) -> bytes:
-    width = ((1 << (n - 1)) + 7) // 8
+    """The key of column codes on the (n, k) cell: n, k, then each code
+    big-endian in _key_width(n) bytes."""
+    width = _key_width(n)
     return bytes([n, k]) + b"".join(c.to_bytes(width, "big") for c in cols)
+
+
+@lru_cache(maxsize=None)
+def _code_masks(n: int, k: int) -> dict[bytes, int]:
+    """Per column code of the (n, k) cell, as a key holds it, the mask
+    whose character it is (the tables' rep)."""
+    tab = _kernels.build_tables(n, k)
+    width = _key_width(n)
+    return {c.to_bytes(width, "big"): m for c, m in zip(tab.codes, tab.rep)}
+
+
+def _key_functionals(key: bytes) -> tuple[int, list[int]]:
+    """(sigma, lams) of the table a key spells: support {1..k}, so sigma
+    is 2^k - 1, and lams[c] the mask whose character is column c's code.
+    A mask and its sum with sigma have one character, so each may differ
+    from generator_functionals' by sigma."""
+    n, k = key[0], key[1]
+    width = _key_width(n)
+    masks = _code_masks(n, k)
+    return (1 << k) - 1, [masks[key[i:i + width]]
+                          for i in range(2, len(key), width)]
 
 
 def _canonical_bytes(tab, ranks) -> bytes:
@@ -170,11 +198,17 @@ class Census:
 
 
 @lru_cache(maxsize=None)
-def _leaf_basis(n: int, k: int) -> tuple[tuple[int, int], ...]:
+def _leaf_halves(n: int, k: int):
     """The basis of H (core._basis_of of its sorted elements) that a leaf's
-    generators are read at, each element with its index in H."""
-    H = _kernels.build_tables(n, k).H
-    return tuple((m, H.index(m)) for m in _basis_of(H))
+    generators are read at, and per column i a dict from each code to its
+    bits at those elements, one byte per element, each bit at place i."""
+    tab = _kernels.build_tables(n, k)
+    basis = _basis_of(tab.H)
+    spread = {c: sum([(c >> tab.H.index(m) & 1) << 8 * b
+                      for b, m in enumerate(basis)])
+              for c in tab.codes}
+    return tuple(basis), tuple({c: s << i for c, s in spread.items()}
+                               for i in range(n))
 
 
 def _entry_from_cols(n: int, k: int, cols, stab: int) -> CensusEntry:
@@ -182,12 +216,15 @@ def _entry_from_cols(n: int, k: int, cols, stab: int) -> CensusEntry:
 
     The walk has proved the leaf valid, so nothing is checked again. Each
     generator is a basis element of H whose halves bit i is column i's bit
-    at that element. out_order is 2 * stab * h1_order, the formula of
-    automorphisms.out_order, with the stabilizer the walk counted.
+    at that element, read from _leaf_halves: byte b of the sum of the
+    columns' entries is generator b's halves. out_order is
+    2 * stab * h1_order, the formula of automorphisms.out_order, with the
+    stabilizer the walk counted.
     """
     fields = _fields(n, (1 << k) - 1)
-    gens = tuple((m, sum((c >> t & 1) << i for i, c in enumerate(cols)))
-                 for m, t in _leaf_basis(n, k))
+    basis, columns = _leaf_halves(n, k)
+    halves = sum([col[c] for col, c in zip(columns, cols)])
+    gens = tuple(zip(basis, halves.to_bytes(n - 1, "little")))
     return CensusEntry(n=n, gens=gens, key=_key_bytes(n, k, cols),
                        out_order=2 * stab * fields["h1_order"], **fields)
 
@@ -416,20 +453,12 @@ def _coordinates_mask(coords, n: int) -> int:
     return mask
 
 
-def _checked_generators(n: int, obj: dict):
-    """(gens, sigma, tab, ranks) of a line's generators when they give a
-    valid group, else None.
-
-    gens are the (flips, halves) masks, n - 1 pairs inside n coordinates;
-    the flips must be independent, sigma (their annihilator) odd, and the
-    reduced ranks of the table torsion-free.
-    """
-    try:
-        gens = tuple([(_coordinates_mask(g["flips"], n),
-                       _coordinates_mask(g["halves"], n))
-                      for g in obj["generators"]])
-    except (LookupError, TypeError, ValueError):
-        return None
+def _checked_masks(n: int, gens):
+    """(sigma, tab, key) of (flips, halves) mask pairs when they give a
+    valid group, else None: n - 1 pairs inside n coordinates, independent
+    flips, sigma (their annihilator) odd and the reduced ranks of the
+    table torsion-free. key is that of the table's own reduced columns,
+    the form the census writes."""
     if len(gens) != n - 1:
         return None
     found = _kernels.generator_functionals(n, gens)
@@ -441,12 +470,19 @@ def _checked_generators(n: int, obj: dict):
     tab, ranks = _kernels.functional_ranks(n, sigma, lams)
     if not _kernels.torsion_free(tab, ranks):
         return None
-    return gens, sigma, tab, ranks
+    return sigma, tab, _key_bytes(n, tab.k, _kernels.to_codes(tab, ranks))
+
+
+def _out_order_fits(out, n: int, k: int, h1_order: int) -> bool:
+    """Whether out is an int 2 * h1_order times a divisor of k!(n-k)!."""
+    twice_h1 = 2 * h1_order
+    return (type(out) is int and out > 0 and out % twice_h1 == 0
+            and factorial(k) * factorial(n - k) % (out // twice_h1) == 0)
 
 
 def _refusal(n: int, obj: dict) -> ValueError:
-    """The error of a line whose generators fail _checked_generators, in
-    the words of the presentation they build."""
+    """The error of a line whose generators fail _checked_masks, in the
+    words of the presentation they build."""
     try:
         p = GhwPresentation(n, [
             (SignVector(n, _coordinates_mask(g["flips"], n)),
@@ -459,19 +495,13 @@ def _refusal(n: int, obj: dict) -> ValueError:
     return ValueError(f"generators: {p.report.reason}")
 
 
-def _typed(value):
-    """value with each item paired with its type, a tuple as a list: a
-    field equals what json.loads reads back, while 1, 1.0 and true differ."""
-    if isinstance(value, (list, tuple)):
-        return [_typed(v) for v in value]
-    return type(value), value
-
-
 @lru_cache(maxsize=None)
-def _typed_fields(n: int, sigma: int) -> tuple[tuple[str, object], ...]:
-    """(name, _typed(value)) of each field core._fields gives."""
-    return tuple((name, _typed(value))
-                 for name, value in _fields(n, sigma).items())
+def _field_reprs(n: int, sigma: int) -> tuple[tuple[str, str], ...]:
+    """(name, repr) of each field core._fields gives, a tuple as a list.
+    For what json.loads returns, reprs agree exactly when types and values
+    do, inside lists too, so 1, 1.0, true and "1" stay distinct."""
+    return tuple((name, repr(list(v) if isinstance(v, tuple) else v))
+                 for name, v in _fields(n, sigma).items())
 
 
 def _entry_from_json(obj: dict) -> CensusEntry:
@@ -486,46 +516,107 @@ def _entry_from_json(obj: dict) -> CensusEntry:
     n = obj["dim"]
     if type(n) is not int or not 2 <= n <= MAX_DIM:
         raise ValueError(f"dim {_echo.repr(n)} is outside 2..{MAX_DIM}")
-    checked = _checked_generators(n, obj)
+    try:
+        gens = tuple([(_coordinates_mask(g["flips"], n),
+                       _coordinates_mask(g["halves"], n))
+                      for g in obj["generators"]])
+    except (LookupError, TypeError, ValueError):
+        gens = None
+    checked = None if gens is None else _checked_masks(n, gens)
     if checked is None:
         raise _refusal(n, obj)
-    gens, sigma, tab, ranks = checked
-    k = tab.k
-    key = _key_bytes(n, k, _kernels.to_codes(tab, ranks))
+    sigma, tab, key = checked
     if obj["canonical_key"] != key.hex():
         raise ValueError("canonical_key is not the key of the generators")
     fields = _fields(n, sigma)
-    for name, typed in _typed_fields(n, sigma):
-        if _typed(obj[name]) != typed:
+    for name, text in _field_reprs(n, sigma):
+        if repr(obj[name]) != text:
             raise ValueError(f"{name} {_echo.repr(obj[name])} differs from "
                              f"{fields[name]!r}, which the generators give")
     out = obj["out_order"]
-    twice_h1 = 2 * fields["h1_order"]
-    if not (type(out) is int and out > 0 and out % twice_h1 == 0
-            and factorial(k) * factorial(n - k) % (out // twice_h1) == 0):
+    if not _out_order_fits(out, n, tab.k, fields["h1_order"]):
+        twice_h1 = 2 * fields["h1_order"]
         raise ValueError(f"out_order {_echo.repr(out)} is not {twice_h1} "
-                         f"times a divisor of {k}! * {n - k}!")
+                         f"times a divisor of {tab.k}! * {n - tab.k}!")
     return CensusEntry(n=n, gens=gens, key=key, out_order=out, **fields)
+
+
+@lru_cache(maxsize=None)
+def _coordinates_masks(n: int) -> dict[str, int]:
+    """The inverse of _coordinates_text on the masks below 2^n."""
+    return {_coordinates_text(m): m for m in range(1 << n)}
+
+
+def _entry_from_text(line: str) -> CensusEntry | None:
+    """The entry of a line in the exact form census_to_jsonl writes, else
+    None.
+
+    The line is split at the writer's separators, each coordinate list is
+    read back through _coordinates_masks, and the masks pass the checks of
+    _entry_from_json (_checked_masks, the key, _out_order_fits). The entry
+    is returned only if _entry_json gives the line back: json.loads reads
+    the writer's text as exactly the entry's typed fields, so that stands
+    in for the field checks. Each split is one scan of the line.
+    """
+    if not line.startswith('{"dim": '):
+        return None
+    head, _, rest = line.partition(', "generators": [{"flips": ')
+    gens_text, _, rest = rest.partition('}], "canonical_key": "')
+    key_hex, _, rest = rest.partition('"')
+    _, _, out_text = rest.rpartition(', "out_order": ')
+    try:
+        n = int(head[8:head.find(",")])
+        out = int(out_text[:-1])
+    except ValueError:
+        return None
+    if not 2 <= n <= MAX_DIM:
+        return None
+    masks = _coordinates_masks(n)
+    try:
+        gens = tuple([
+            (masks[flips], masks[halves])
+            for flips, _, halves in (
+                g.partition(', "halves": ')
+                for g in gens_text.split('}, {"flips": '))])
+    except KeyError:
+        return None
+    checked = _checked_masks(n, gens)
+    if checked is None:
+        return None
+    sigma, tab, key = checked
+    fields = _fields(n, sigma)
+    if (key.hex() != key_hex
+            or not _out_order_fits(out, n, tab.k, fields["h1_order"])):
+        return None
+    e = CensusEntry(n=n, gens=gens, key=key, out_order=out, **fields)
+    return e if _entry_json(e) == line + "\n" else None
 
 
 def census_from_jsonl(text: str) -> Census:
     """Read what census_to_jsonl wrote, checking every line on the way.
 
-    A bad line raises ValueError naming its 1-based number and the field
-    (see _entry_from_json); lines of different dimensions raise
-    DimensionMismatch.
+    A line in the writer's exact form is read by _entry_from_text; any
+    other line goes through json.loads and _entry_from_json, which apply
+    the same checks and word every refusal. A bad line raises ValueError
+    naming its 1-based number and the field, or that it nests too deeply
+    for json.loads; lines of different dimensions raise DimensionMismatch.
     """
     entries = []
     seen = set()
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
+        e = _entry_from_text(line)
         try:
-            e = _entry_from_json(json.loads(line))
+            if e is None:
+                e = _entry_from_json(json.loads(line))
         except KeyError as exc:
             raise ValueError(f"census line {number}: no field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"census line {number}: {exc}") from None
+        except RecursionError:
+            raise ValueError(
+                f"census line {number}: nested too deeply to read") from None
         if entries and e.n != entries[0].n:
             raise DimensionMismatch("mixed dimensions in census stream")
         if e.key in seen:

@@ -13,10 +13,9 @@ from collections import deque
 from itertools import groupby
 from typing import NamedTuple, Optional
 
-from . import _kernels
 from .constructions import ReductionChoice, _reductions
 from .core import GhwError
-from .enumerate import BudgetExhausted, Census, _censuses
+from .enumerate import BudgetExhausted, Census, _censuses, _key_functionals
 
 
 class UnknownVertex(GhwError):
@@ -152,8 +151,11 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     budget and workers; the budget bounds the whole call. For every entry
     of dimension d >= 3 each distinct reduction class contributes one edge,
     witnessed by the first choice (in scan order) that lands in the class.
-    Entries are reduced from their generators' functionals, without a
-    presentation.
+    Entries are reduced from the functionals their keys spell
+    (enumerate._key_functionals), without a presentation or an
+    elimination: a census entry's generators are read from its key's
+    columns, and a functional that differs from theirs by sigma gives the
+    same reductions.
     """
     if max_dim < 2:
         raise ValueError("max_dim must be at least 2")
@@ -175,7 +177,7 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
             if (deadline is not None and i % 256 == 0
                     and time.monotonic() > deadline):
                 raise BudgetExhausted(f"reductions of dim {d}")
-            sigma, lams = _kernels.generator_functionals(d, entry.gens)
+            sigma, lams = _key_functionals(entry.key)
             first: dict[bytes, ReductionChoice] = {}
             for choice in _reductions(d, sigma, lams, keys):
                 first.setdefault(choice.key, choice)

@@ -13,7 +13,13 @@ from ghw.core import (
     permute_coordinates,
     validate_ghw,
 )
-from ghw.enumerate import cached_census, canonical_key
+from ghw._kernels import generator_functionals
+from ghw.enumerate import (
+    cached_census,
+    canonical_key,
+    censuses,
+    _key_functionals,
+)
 from ghw.constructions import (
     DiagonalPresentation,
     InvalidChoice,
@@ -34,7 +40,7 @@ from ghw.constructions import (
     reduce,
     semidirect_minus_id,
     _reductions,
-    _unblocked_pairs,
+    _unblocked,
 )
 from oracles import (
     brute_didicosm_witness,
@@ -212,9 +218,9 @@ class TestListReductions:
                       apply_coboundary(e.presentation, (1 << n) - 1)):
                 s, sigma = cocycle_table(n, p.gens), p.support_mask
                 tried = {(f, c + 1)
-                         for f, c in _unblocked_pairs(n, sigma, p.lams)}
-                assert tried == {(f, c + 1) for f, c in _unblocked_pairs(
-                    n, sigma, table_functionals(n, sigma, s))}
+                         for c, fs in _unblocked(n, sigma, p.lams) for f in fs}
+                assert tried == {(f, c + 1) for c, fs in _unblocked(
+                    n, sigma, table_functionals(n, sigma, s)) for f in fs}
                 outcomes = brute_reduction_outcomes(p)
                 assert tried == {fc for fc, out in outcomes.items()
                                  if isinstance(out, bytes)}
@@ -223,6 +229,30 @@ class TestListReductions:
                     or all(not (s[m] ^ m) >> c & 1 for m in s)
                     for c in range(n))
         assert reached == 2 * every_f
+
+    def test_functionals_read_off_the_key(self):
+        # build_graph reduces each entry from the functionals its key
+        # spells; they may differ from the generators' own by sigma, which
+        # leaves every reduction unchanged, also one column at a time
+        keys = {}
+        differ = 0
+        for n, census in censuses(6, long_mode=True).items():
+            if n < 3:
+                continue
+            for i, e in enumerate(census.entries):
+                sigma, lams = _key_functionals(e.key)
+                assert (sigma, len(lams)) == ((1 << len(e.support)) - 1, n)
+                want = _reductions(n, *generator_functionals(n, e.gens), keys)
+                assert _reductions(n, sigma, lams, keys) == want
+                assert list_reductions(e.presentation) == want
+                differ += lams != list(e.presentation.lams)
+                if i % 10:
+                    continue
+                for c in range(n):
+                    moved = list(lams)
+                    moved[c] ^= sigma
+                    assert _reductions(n, sigma, moved, keys) == want
+        assert differ
 
     def test_dim2_refuses(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import ghw.enumerate as census_mod
 from ghw._kernels import build_tables, census_leaves, normalized_ranks, to_codes
 from ghw.automorphisms import normalizer_stabilizer_order
 from ghw.cohomology import h1_order
@@ -36,6 +37,8 @@ from ghw.enumerate import (
     censuses,
     enumerate_census,
     hyperplane_classes,
+    _entry_from_json,
+    _entry_from_text,
     _entry_json,
     _key_bytes,
     _support_entries,
@@ -470,6 +473,77 @@ class TestJsonlChecks:
         text = census_to_jsonl(cached_census(3))
         first = text.splitlines()[0]
         _rejected(text + first + "\n", 4, "canonical_key repeats")
+
+    def test_deep_nesting(self):
+        # json.loads runs out of stack on this line; the read still names it
+        line = '{"dim": 3, "support": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ValueError) as info:
+            census_from_jsonl(line)
+        assert str(info.value) == "census line 1: nested too deeply to read"
+
+
+# Edits of one writer-form line (dim 4, line 3) that leave the writer's
+# exact form, each read by the json path.
+WRITER_LINE_EDITS = {
+    "reordered": lambda line: json.dumps(
+        dict(reversed(json.loads(line).items()))),
+    "extra spaces": lambda line: line.replace(", ", ",  "),
+    "beta1 true": lambda line: line.replace('"beta1": 1', '"beta1": true'),
+    "h1_order float": lambda line: line.replace('"h1_order": 8',
+                                                '"h1_order": 8.0'),
+    "escaped name": lambda line: line.replace('"canonical_key"',
+                                              '"\\u0063anonical_key"'),
+    "same field twice": lambda line: line[:-1] + ', "out_order": 16}',
+    "other value twice": lambda line: line[:-1] + ', "beta1": 0}',
+    "out_order 1e3": lambda line: line.replace('"out_order": 16',
+                                               '"out_order": 1e3'),
+    "uppercase key": lambda line: line.replace("0401aa5a003c", "0401AA5A003C"),
+    "leading zero": lambda line: line.replace('"flips": [2]', '"flips": [01]'),
+    "mask above 2^n": lambda line: line.replace('"flips": [4]',
+                                                '"flips": [5]'),
+    "1 MB of separators": lambda line: line.replace(
+        '], "canonical_key": "', '], "canonical_key": "' * 50_000, 1),
+}
+
+
+def _verdict(text: str):
+    """What census_from_jsonl makes of text: its entries and their JSONL,
+    or the type and text of its refusal."""
+    try:
+        census = census_from_jsonl(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return census.entries, census_to_jsonl(census)
+
+
+class TestWriterForm:
+    """A line in the writer's exact form is read without json.loads, and
+    gives what the json path gives; every other line takes the json path."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_same_entries_as_the_json_path(self, n):
+        for line in census_to_jsonl(cached_census(n)).splitlines():
+            e = _entry_from_text(line)
+            assert e is not None
+            # repr tells 1 from True and 8 from 8.0, which == does not
+            assert repr(e) == repr(_entry_from_json(json.loads(line)))
+
+    @pytest.mark.parametrize("name", ["unchanged", *WRITER_LINE_EDITS])
+    def test_edited_line_reads_as_on_the_json_path(self, name, monkeypatch):
+        lines = census_to_jsonl(cached_census(4)).splitlines()
+        assert lines[2].endswith('"canonical_key": "0401aa5a003c", '
+                                 '"beta1": 1, "orientable": false, "betti": '
+                                 '[1, 1, 0, 0, 0], "h1_order": 8, '
+                                 '"out_order": 16}')
+        if name != "unchanged":
+            edited = WRITER_LINE_EDITS[name](lines[2])
+            assert edited != lines[2]
+            assert _entry_from_text(edited) is None
+            lines[2] = edited
+        text = "\n".join(lines) + "\n"
+        got = _verdict(text)
+        monkeypatch.setattr(census_mod, "_entry_from_text", lambda line: None)
+        assert got == _verdict(text)
 
 
 # sha256 of the census JSONL of each fast dim-7 cell, as written when each

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import time
@@ -133,6 +134,22 @@ def test_edge_normality_matches_member_scan(graph6):
             upper[e.upper], w.functional, w.coordinate)
         normal += e.normal
     assert (len(g.edges), normal) == (14_973, 2_367)
+
+
+# sha256 of edges_json and dot_export of build_graph(6, long_mode=True),
+# the values the benchmark pins
+GRAPH6_EDGES_JSON_SHA256 = (
+    "6c6d50d9914a3cc510d97bc36eada187fc1c3edea5c3b67d29207c40cca24074")
+GRAPH6_DOT_SHA256 = (
+    "73362c37ceeca55f708737838e9e32483ccc6c925a7579632db31d3d1ebfccea")
+
+
+def test_dim6_exports_pinned(graph6):
+    # a changed vertex, edge or witness changes these bytes
+    assert hashlib.sha256(edges_json(graph6).encode()).hexdigest() == (
+        GRAPH6_EDGES_JSON_SHA256)
+    assert hashlib.sha256(dot_export(graph6).encode()).hexdigest() == (
+        GRAPH6_DOT_SHA256)
 
 
 def test_edges_and_neighbors_come_sorted(graph4, graph5, graph6):
