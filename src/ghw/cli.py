@@ -98,7 +98,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--long", action="store_true",
                        help="allow long-running dimensions (6 and up)")
         p.add_argument("--budget", type=_seconds, default=None,
-                       help="time budget in seconds for the whole command")
+                       help="time budget in seconds for the census walk, "
+                       "the invariant pass and the graph's reductions")
         p.add_argument("--workers", type=_natural, default=1,
                        help="process count for enumeration")
 

@@ -25,6 +25,8 @@ from .core import (
     orientable,
     permute_coordinates,
     _basis_of,
+    _check_coords,
+    _group,
     _require_valid,
     _support_alignment,
 )
@@ -122,12 +124,7 @@ def klein_group(n: int) -> GhwPresentation:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    gens = []
-    for j in range(1, n):
-        gens.append(
-            (SignVector(n, 1 << (j - 1)), TranslationClass(n, 1 << j))
-        )
-    p = GhwPresentation(n, gens)
+    p = _group(n, [(1 << (j - 1), 1 << j) for j in range(1, n)])
     assert p.valid
     return p
 
@@ -141,12 +138,7 @@ def gamma_group(n: int) -> GhwPresentation:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     full = (1 << n) - 1
-    gens = []
-    for j in range(1, n):
-        flips = full ^ (1 << (j - 1))
-        halves = (1 << (j - 1)) | (1 << j)
-        gens.append((SignVector(n, flips), TranslationClass(n, halves)))
-    p = GhwPresentation(n, gens)
+    p = _group(n, [(full ^ (1 << (j - 1)), 3 << (j - 1)) for j in range(1, n)])
     assert p.valid
     return p
 
@@ -289,9 +281,10 @@ def reduce(
     """Delete one coordinate along an index-two holonomy subgroup.
 
     ``subgroup`` selects the surviving half of the holonomy: None takes
-    the kernel of the chosen coordinate of the cocycle, an int is read
-    as a linear functional on flip masks, and an iterable lists the
-    member elements outright.  The restriction is sound only when every
+    the kernel of the chosen coordinate of the cocycle, an int in
+    0..2^n - 1 is read as a linear functional on flip masks (any other
+    int raises ValueError), and an iterable lists the member elements
+    outright.  The restriction is sound only when every
     member that fixes the coordinate carries no half step there; any
     violation raises InvalidChoice.  The quotient can still degenerate
     (dependent images or a central total flip), which raises
@@ -316,6 +309,7 @@ def reduce(
                 "no canonical index-two subgroup"
             )
     elif isinstance(subgroup, int):
+        _check_coords(n, subgroup)
         members = [m for m in table if (m & subgroup).bit_count() % 2 == 0]
         if len(members) == len(table):
             raise InvalidChoice("functional vanishes on the holonomy")
@@ -336,25 +330,10 @@ def reduce(
                 f"a member fixing coordinate {coordinate} carries a half "
                 "step there; deleting it would not stay injective"
             )
-    return _drop_coordinate(
-        p.n, [(m, table[m]) for m in _basis_of(members)], coordinate)
-
-
-def _drop(mask: int, low: int) -> int:
-    """Delete the bit just above low = 2^(c-1) - 1 (coordinate c) from mask."""
-    return (mask & low) | (mask >> 1 & ~low)
-
-
-def _drop_coordinate(n: int, basis, coordinate: int) -> GhwPresentation:
-    """Delete a coordinate from the (flips, halves) masks of a kernel basis
-    in dimension n; ReductionNotGhw if degenerate."""
-    low = (1 << (coordinate - 1)) - 1
-    gens = [
-        (SignVector(n - 1, _drop(m, low)), TranslationClass(n - 1, _drop(h, low)))
-        for m, h in basis
-    ]
+    low = bit - 1
     try:
-        q = GhwPresentation(n - 1, gens)
+        q = _group(n - 1, [(_drop(m, low), _drop(table[m], low))
+                           for m in _basis_of(members)])
     except DependentGenerators as exc:
         raise ReductionNotGhw(
             "deleted coordinate collapses the holonomy"
@@ -362,6 +341,11 @@ def _drop_coordinate(n: int, basis, coordinate: int) -> GhwPresentation:
     if not q.valid:
         raise ReductionNotGhw(q.report.reason)
     return q
+
+
+def _drop(mask: int, low: int) -> int:
+    """Delete the bit just above low = 2^(c-1) - 1 (coordinate c) from mask."""
+    return (mask & low) | (mask >> 1 & ~low)
 
 
 class ReductionChoice(NamedTuple):
@@ -489,18 +473,9 @@ def embed_up_exist(
         coordinate = min(p.support)
     if coordinate not in p.support:
         raise ValueError(f"coordinate {coordinate} is not in the support")
-    jbit = 1 << (coordinate - 1)
-    gens = []
-    for sv, tc in p.gens:
-        chi = (tc.halves >> (coordinate - 1)) & 1
-        gens.append(
-            (SignVector(n + 1, sv.flips | (chi << n)),
-             TranslationClass(n + 1, tc.halves))
-        )
-    gens.append(
-        (SignVector(n + 1, 1 << n), TranslationClass(n + 1, jbit | (1 << n)))
-    )
-    q = GhwPresentation(n + 1, gens)
+    j = coordinate - 1
+    q = _group(n + 1, [(sv.flips | (tc.halves >> j & 1) << n, tc.halves)
+                       for sv, tc in p.gens] + [(1 << n, 1 << j | 1 << n)])
     assert q.valid
     assert q.support == p.support
     return q
@@ -518,14 +493,8 @@ def semidirect_minus_id(p: GhwPresentation) -> GhwPresentation:
     if not orientable(p):
         raise NotOriented("input must be orientable")
     n = p.n
-    gens = [
-        (SignVector(n + 1, sv.flips), TranslationClass(n + 1, tc.halves))
-        for sv, tc in p.gens
-    ]
-    gens.append(
-        (SignVector(n + 1, (1 << n) - 1), TranslationClass(n + 1, 1 << n))
-    )
-    q = GhwPresentation(n + 1, gens)
+    q = _group(n + 1, [(sv.flips, tc.halves) for sv, tc in p.gens]
+               + [((1 << n) - 1, 1 << n)])
     assert q.valid
     # The old support functional picks up the flip of every old coordinate,
     # which kills it (odd weight), leaving only the new coordinate.

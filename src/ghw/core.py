@@ -289,6 +289,12 @@ class GhwPresentation:
         return f"GhwPresentation.from_literal({self.to_literal()!r})"
 
 
+def _group(n: int, masks) -> GhwPresentation:
+    """The presentation whose generators have these (flips, halves) masks."""
+    return GhwPresentation(n, [(SignVector(n, f), TranslationClass(n, h))
+                               for f, h in masks])
+
+
 class ValidationReport(NamedTuple):
     """Outcome of validate_ghw.
 
@@ -457,11 +463,7 @@ def permute_coordinates(p: GhwPresentation, perm) -> GhwPresentation:
             if mask >> i & 1:
                 out |= 1 << (perm[i] - 1)
         return out
-    gens = [
-        (SignVector(p.n, move(sv.flips)), TranslationClass(p.n, move(tc.halves)))
-        for sv, tc in p.gens
-    ]
-    return GhwPresentation(p.n, gens)
+    return _group(p.n, [(move(sv.flips), move(tc.halves)) for sv, tc in p.gens])
 
 
 def apply_coboundary(p: GhwPresentation, shift_mask: int) -> GhwPresentation:
@@ -472,11 +474,8 @@ def apply_coboundary(p: GhwPresentation, shift_mask: int) -> GhwPresentation:
     isomorphism class untouched.
     """
     _check_coords(p.n, shift_mask)
-    gens = [
-        (sv, TranslationClass(p.n, tc.halves ^ (sv.flips & shift_mask)))
-        for sv, tc in p.gens
-    ]
-    return GhwPresentation(p.n, gens)
+    return _group(p.n, [(sv.flips, tc.halves ^ (sv.flips & shift_mask))
+                        for sv, tc in p.gens])
 
 
 # Group literal format: dim=N; gens=+--:HH0,-+-:0HH

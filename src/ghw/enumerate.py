@@ -26,11 +26,10 @@ from .core import (
     DimensionMismatch,
     GhwError,
     GhwPresentation,
-    SignVector,
-    TranslationClass,
     _basis_of,
     _coordinates,
     _fields,
+    _group,
     _require_valid,
 )
 
@@ -157,9 +156,7 @@ class CensusEntry(_EntryFields):
 
     @cached_property
     def presentation(self) -> GhwPresentation:
-        return GhwPresentation(self.n, [
-            (SignVector(self.n, f), TranslationClass(self.n, h))
-            for f, h in self.gens])
+        return _group(self.n, self.gens)
 
 
 class Census:
@@ -484,11 +481,9 @@ def _refusal(n: int, obj: dict) -> ValueError:
     """The error of a line whose generators fail _checked_masks, in the
     words of the presentation they build."""
     try:
-        p = GhwPresentation(n, [
-            (SignVector(n, _coordinates_mask(g["flips"], n)),
-             TranslationClass(n, _coordinates_mask(g["halves"], n)))
-            for g in obj["generators"]
-        ])
+        p = _group(n, [(_coordinates_mask(g["flips"], n),
+                        _coordinates_mask(g["halves"], n))
+                       for g in obj["generators"]])
     except (GhwError, LookupError, TypeError, ValueError) as exc:
         return ValueError(f"generators: {exc}")
     assert not p.valid, "a valid presentation failed the generator checks"

@@ -50,7 +50,7 @@ class TestEnumerate:
 
     def test_budget_spent_between_dimensions_exits_2(self, capsys,
                                                      monkeypatch):
-        # --budget bounds the whole command: a clock that passes it before
+        # --budget bounds the census walk: a clock that passes it before
         # dim 6 starts exits 2, not 1 for a budget that is not positive.
         # Each read advances the clock a second: the deadline is set at
         # tick 0, dims 2-5 start at ticks 1-4 and dim 6 would at tick 5.
@@ -183,6 +183,15 @@ class TestReduce:
                            "--coordinate", "2", "--functional", "1")
         assert code == 0
         assert json.loads(out)["key"] == "02010200"
+
+    @pytest.mark.parametrize("functional", ["8", "9", "17", "1025"])
+    def test_functional_outside_the_coordinates(self, capsys, functional):
+        # Only 0..7 fit in 3 coordinates; 9 once read as 1 and exited 0.
+        code, out, err = run(capsys, "reduce", "--group", DIDICOSM,
+                             "--coordinate", "2", "--functional", functional)
+        assert (code, out) == (1, "")
+        assert err == (f"ghw: error: mask {int(functional):#x} does not fit "
+                       "in 3 coordinates\n")
 
     def test_bad_choice(self, capsys):
         code, _, err = run(capsys, "reduce", "--group",

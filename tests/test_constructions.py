@@ -1,14 +1,19 @@
+import hashlib
 import itertools
 import random
 import re
 
 import pytest
 
+from ghw import core
 from ghw.core import (
+    GhwError,
     GhwPresentation,
     SignVector,
     TranslationClass,
     apply_coboundary,
+    format_group,
+    orientable,
     parse_group,
     permute_coordinates,
     validate_ghw,
@@ -107,6 +112,12 @@ class TestReduce:
         # parity functional 1 keeps the elements even on coordinate 1
         q = reduce(didicosm(), 1, 2)
         assert canonical_key(q) == KLEIN_KEY
+
+    @pytest.mark.parametrize("functional", [-2, -1, 8, 9, 1025])
+    def test_functional_must_fit_the_coordinates(self, functional):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mask {functional:#x} does not fit in 3 coordinates")):
+            reduce(didicosm(), functional, 2)
 
     def test_iterable_subgroup(self):
         p = didicosm()
@@ -483,3 +494,51 @@ class TestRealize:
                 p = realize_representation(RepresentationSpec(n, masks))
                 assert validate_ghw(p).verdict
                 assert p.support == support
+
+
+# sha256 of the rows of _construction_rows, one per line: 3,879 rows.
+CONSTRUCTION_ROWS_SHA256 = (
+    "0f05268bf855c15d7469d433780895e9257046243d3ef018fcd771821e55aec7")
+
+
+def _construction_rows():
+    """The literal of every construction on the families of dims 2-8 and on
+    the census entries of dims 2-5 and every 25th of dim 6, relabelings
+    and coboundaries drawn from one seeded stream."""
+    for n in range(2, 9):
+        yield format_group(klein_group(n))
+        yield format_group(gamma_group(n))
+    rng = random.Random(7)
+    for n in range(2, 7):
+        for i, entry in enumerate(cached_census(n).entries):
+            if n == 6 and i % 25:
+                continue
+            p = entry.presentation
+            yield format_group(p)
+            for c in p.support:
+                yield format_group(embed_up_exist(p, c))
+            if orientable(p):
+                yield format_group(semidirect_minus_id(p))
+            if n >= 3:
+                for choice in list_reductions(p):
+                    yield format_group(
+                        reduce(p, choice.functional, choice.coordinate))
+                for c in range(1, n + 1):
+                    try:
+                        yield format_group(reduce(p, None, c))
+                    except GhwError as exc:
+                        yield f"{type(exc).__name__}: {exc}"
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            yield format_group(permute_coordinates(p, perm))
+            yield format_group(apply_coboundary(p, rng.randrange(1 << n)))
+    for n in range(3, 9):
+        images = embed_up_mono(gamma_group(n)).images
+        yield ",".join(map(core._generator_text, images))
+
+
+def test_construction_literals_are_pinned():
+    rows = list(_construction_rows())
+    assert len(rows) == 3879
+    text = "".join(row + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTION_ROWS_SHA256
