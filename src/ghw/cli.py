@@ -100,8 +100,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_seconds, default=None,
                        help="time budget in seconds for the census walk, "
                        "the invariant pass and the graph's reductions")
-        p.add_argument("--workers", type=_natural, default=1,
-                       help="process count for enumeration")
 
     p = command("enumerate", "write one census as JSON lines", cmd_enumerate)
     p.add_argument("--dim", type=_dimension, required=True)
@@ -159,8 +157,7 @@ def _keyed(q) -> dict:
 
 
 def _census_opts(args) -> dict:
-    return {"long_mode": args.long, "budget": args.budget,
-            "workers": args.workers}
+    return {"long_mode": args.long, "budget": args.budget}
 
 
 def _write_rows(path, rows) -> None:

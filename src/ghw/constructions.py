@@ -26,6 +26,7 @@ from .core import (
     permute_coordinates,
     _basis_of,
     _check_coords,
+    _flip_mask,
     _group,
     _require_valid,
     _support_alignment,
@@ -165,7 +166,7 @@ class RepresentationSpec(_SpecFields):
     def __new__(cls, n: int, flip_masks):
         if n < 2:
             raise InvalidSpec("dimension must be at least 2")
-        masks = tuple(getattr(m, "flips", m) for m in flip_masks)
+        masks = tuple(_flip_mask(n, m) for m in flip_masks)
         self = super().__new__(cls, n, masks)
         full = (1 << n) - 1
         for m in masks:
@@ -314,7 +315,7 @@ def reduce(
         if len(members) == len(table):
             raise InvalidChoice("functional vanishes on the holonomy")
     else:
-        members = sorted({getattr(g, "flips", g) for g in subgroup})
+        members = sorted({_flip_mask(n, g) for g in subgroup})
         if not all(m in table for m in members):
             raise InvalidChoice("subgroup contains foreign elements")
         mset = set(members)

@@ -152,6 +152,14 @@ class SignVector(_CoordinateMask):
         return self.flips.bit_count() & 1
 
 
+def _flip_mask(n: int, element) -> int:
+    """The flips of a SignVector, which must have n coordinates, as in
+    SignVector composition, or element itself if it is not one."""
+    if isinstance(element, SignVector) and element.n != n:
+        raise DimensionMismatch(f"{element.n} != {n}")
+    return element.flips if isinstance(element, SignVector) else element
+
+
 class TranslationClass(_CoordinateMask):
     """Translation vector modulo Z^n with entries in {0, 1/2}, as a bitmask.
 
@@ -252,7 +260,7 @@ class GhwPresentation:
 
     def s(self, element) -> TranslationClass:
         """Cocycle value on an element of H, given as a mask or SignVector."""
-        mask = element.flips if isinstance(element, SignVector) else element
+        mask = _flip_mask(self.n, element)
         if mask < 0 or mask >> self.n or (mask & self.support_mask).bit_count() & 1:
             raise KeyError(f"mask {mask:#x} is not in the sign span")
         return TranslationClass(self.n, sum(

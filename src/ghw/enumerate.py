@@ -14,9 +14,7 @@ from __future__ import annotations
 import json
 import reprlib
 import time
-from contextlib import nullcontext
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import factorial
 from typing import NamedTuple
 
@@ -227,23 +225,13 @@ def _entry_from_cols(n: int, k: int, cols, stab: int) -> CensusEntry:
 
 
 def _deadline(budget: float | None, long_mode: bool) -> float | None:
-    """The time.monotonic deadline of a call that starts now."""
+    """The time.monotonic deadline of a call that starts now; ValueError
+    when the budget is not positive."""
+    if budget is not None and not budget > 0:
+        raise ValueError("budget must be positive")
     if budget is None and long_mode:
         budget = DEFAULT_BUDGET
     return None if budget is None else time.monotonic() + budget
-
-
-def _support_entries(n: int, k: int, deadline: float | None):
-    try:
-        leaves = _kernels.census_leaves(n, k, deadline)
-    except TimeoutError as exc:
-        raise BudgetExhausted(str(exc)) from None
-    out = []
-    for i, (cols, stab) in enumerate(leaves):
-        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-            raise BudgetExhausted(f"invariant pass for dim {n} support size {k}")
-        out.append(_entry_from_cols(n, k, cols, stab))
-    return out
 
 
 def enumerate_census(
@@ -251,16 +239,15 @@ def enumerate_census(
     *,
     long_mode: bool = False,
     budget: float | None = None,
-    workers: int = 1,
     progress=None,
 ) -> Census:
     """All isomorphism classes of dimension n.
 
     Dimensions below LONG_MODE_DIM run unconditionally. From dimension 6 on
     the call must opt into long mode and runs under a time budget (default
-    1800 s), raising BudgetExhausted when it trips. Worker counts above one
-    spread support classes over processes; results are merged in sorted key
-    order, so output does not depend on the worker count.
+    1800 s), raising BudgetExhausted when it trips. Support classes are
+    walked in increasing size in this process; progress, when given, is
+    called with one line per support class.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -269,24 +256,21 @@ def enumerate_census(
         raise DimensionTooLarge(
             f"dimension {n} is enumerable only in long mode"
         )
-    _check_run_limits(budget, workers)
     deadline = _deadline(budget, long_mode)
-    sizes = [len(s) for s in hyperplane_classes(n)]
-    procs = min(workers, len(sizes))
     entries = []
-    if procs > 1:
-        # Only a run with workers loads the process pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
-        workers_context = ProcessPoolExecutor(procs)
-    else:
-        workers_context = nullcontext()
-    with workers_context as pool:
-        run = map if pool is None else pool.map
-        batches = run(_support_entries, repeat(n), sizes, repeat(deadline))
-        for k, batch in zip(sizes, batches):
-            entries.extend(batch)
-            if progress is not None:
-                progress(f"dim {n} support size {k}: {len(batch)} classes")
+    for k in range(1, n + 1, 2):
+        try:
+            leaves = _kernels.census_leaves(n, k, deadline)
+        except TimeoutError as exc:
+            raise BudgetExhausted(str(exc)) from None
+        for i, (cols, stab) in enumerate(leaves):
+            if (deadline is not None and i % 256 == 0
+                    and time.monotonic() > deadline):
+                raise BudgetExhausted(
+                    f"invariant pass for dim {n} support size {k}")
+            entries.append(_entry_from_cols(n, k, cols, stab))
+        if progress is not None:
+            progress(f"dim {n} support size {k}: {len(leaves)} classes")
     return Census(n, entries)
 
 
@@ -302,44 +286,33 @@ def _check_cap(n: int) -> None:
             f"dimension {n} exceeds the census cap {CENSUS_MAX_DIM}")
 
 
-def _check_run_limits(budget: float | None, workers: int) -> None:
-    if budget is not None and not budget > 0:
-        raise ValueError("budget must be positive")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
-
 def censuses(
     max_dim: int,
     *,
     long_mode: bool = False,
     budget: float | None = None,
-    workers: int = 1,
 ) -> dict[int, Census]:
     """The census of every dimension 2..max_dim, keyed by dimension.
 
     Dimensions below LONG_MODE_DIM come from cached_census; from there on
-    each is enumerated under the given long mode and workers, in the time
-    left of the budget, which bounds the whole call: it is read before
-    every dimension, cached ones included, and after the last. The
-    dimension cap, budget and worker count are checked before any
-    dimension is built.
+    each is enumerated under the given long mode, in the time left of the
+    budget, which bounds the whole call: it is read before every
+    dimension, cached ones included, and after the last. The dimension
+    cap and budget are checked before any dimension is built.
     """
-    return _censuses(max_dim, long_mode, budget, workers)[0]
+    return _censuses(max_dim, long_mode, budget)[0]
 
 
-def _censuses(max_dim: int, long_mode: bool, budget: float | None,
-              workers: int) -> tuple[dict[int, Census], float | None]:
+def _censuses(max_dim: int, long_mode: bool, budget: float | None
+              ) -> tuple[dict[int, Census], float | None]:
     """censuses, and the deadline it set for the rest of its caller."""
     _check_cap(max_dim)
-    _check_run_limits(budget, workers)
     deadline = _deadline(budget, long_mode)
     out = {}
     for n in range(2, max_dim + 1):
         left = _time_left(deadline, f"no time left for dim {n}")
         if n >= LONG_MODE_DIM:
-            out[n] = enumerate_census(n, long_mode=long_mode, budget=left,
-                                      workers=workers)
+            out[n] = enumerate_census(n, long_mode=long_mode, budget=left)
         else:
             out[n] = cached_census(n)
     _time_left(deadline, f"no time left after dim {max_dim}")
@@ -362,11 +335,9 @@ def census_table(
     *,
     long_mode: bool = False,
     budget: float | None = None,
-    workers: int = 1,
 ) -> list[dict]:
     """Per-dimension summary rows for dims 2..max_dim, from censuses."""
-    found = censuses(max_dim, long_mode=long_mode, budget=budget,
-                     workers=workers)
+    found = censuses(max_dim, long_mode=long_mode, budget=budget)
     return [
         {
             "dim": n,

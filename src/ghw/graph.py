@@ -144,11 +144,11 @@ class GhwGraph:
 
 
 def build_graph(max_dim: int, *, long_mode: bool = False,
-                budget: Optional[float] = None, workers: int = 1) -> GhwGraph:
+                budget: Optional[float] = None) -> GhwGraph:
     """Assemble the graph for dimensions 2 through max_dim.
 
-    The censuses come from enumerate.censuses under the given long mode,
-    budget and workers; the budget bounds the whole call. For every entry
+    The censuses come from enumerate.censuses under the given long mode
+    and budget; the budget bounds the whole call. For every entry
     of dimension d >= 3 each distinct reduction class contributes one edge,
     witnessed by the first choice (in scan order) that lands in the class.
     Entries are reduced from the functionals their keys spell
@@ -159,7 +159,7 @@ def build_graph(max_dim: int, *, long_mode: bool = False,
     """
     if max_dim < 2:
         raise ValueError("max_dim must be at least 2")
-    by_dim, deadline = _censuses(max_dim, long_mode, budget, workers)
+    by_dim, deadline = _censuses(max_dim, long_mode, budget)
 
     vertices = []
     for d in range(2, max_dim + 1):

@@ -149,23 +149,24 @@ class TestGraphCmd:
         assert code == 0
         assert json.loads(out)["vertices"] == 4
 
-    def test_workers_reach_enumeration(self, capsys, monkeypatch):
+    def test_budget_reaches_enumeration(self, capsys, monkeypatch):
         import ghw.enumerate as enum_mod
 
         real = enum_mod.enumerate_census
-        workers = {}
+        budgets = {}
 
         def spy(n, **kwargs):
-            workers[n] = kwargs.get("workers", 1)
+            budgets[n] = kwargs.get("budget")
             return real(n, **kwargs)
 
         # Dimension 4 takes the long-mode route, as dimension 6 does.
         monkeypatch.setattr(enum_mod, "LONG_MODE_DIM", 4)
         monkeypatch.setattr(enum_mod, "enumerate_census", spy)
         code, out, _ = run(capsys, "graph", "--max-dim", "4", "--long",
-                           "--workers", "2")
+                           "--budget", "600")
         assert code == 0
-        assert workers[4] == 2
+        assert list(budgets) == [4]
+        assert 0 < budgets[4] <= 600
         assert json.loads(out) == {"vertices": 16, "edges": 29,
                                    "connected": True}
 
@@ -344,18 +345,30 @@ class TestExportsStreamed:
         assert out.read_text() == census[1]
 
 
-@pytest.mark.parametrize("argv", [
+CENSUS_COMMANDS = [
     ("enumerate", "--dim", "3"),
     ("table", "--max-dim", "3"),
     ("graph", "--max-dim", "3"),
-])
-@pytest.mark.parametrize("limit", [("--workers", "0"), ("--budget", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", CENSUS_COMMANDS)
+@pytest.mark.parametrize("limit", [("--budget", "-1"), ("--budget", "0"),
                                    ("--budget", "nan")])
 def test_run_limits_rejected(capsys, argv, limit):
     code, out, err = run(capsys, *argv, *limit)
     assert code == 1
     assert out == ""
     assert err.startswith("ghw: error:")
+
+
+@pytest.mark.parametrize("argv", CENSUS_COMMANDS)
+def test_workers_flag_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "ghw: error: unrecognized arguments: --workers 2")
 
 
 class TestOneParser:
@@ -466,8 +479,7 @@ class TestIntegerFlags:
           "--functional", "1_0"), "--functional", "ASCII"),
         (("embed-exist", "--group", DIDICOSM, "--coordinate", "\u00b2"),
          "--coordinate", "ASCII"),
-        (("enumerate", "--dim", "3", "--workers", "\u0662"), "--workers",
-         "ASCII"),
+        (("table", "--max-dim", "\u0662"), "--max-dim", "ASCII"),
         (("table", "--max-dim", "3", "--budget", "\u0663"), "--budget",
          "ASCII"),
         (("table", "--max-dim", "3", "--budget", "9" * 5000), "--budget",

@@ -7,6 +7,7 @@ import pytest
 
 from ghw import core
 from ghw.core import (
+    DimensionMismatch,
     GhwError,
     GhwPresentation,
     SignVector,
@@ -405,6 +406,27 @@ class TestDidicosmWitness:
             for a, b in itertools.combinations(p.elements[1:], 2):
                 closed = (s[a] | s[b]) & ~(a | b) & full == 0
                 assert (verify_didicosm_pair(p, a, b) is not None) == closed
+
+
+class TestSignVectorsOfAnotherDimension:
+    """A SignVector must have the dimension of the group it is read in, as
+    in SignVector composition; an int mask is read as it stands."""
+
+    def test_cocycle_value(self):
+        with pytest.raises(DimensionMismatch):
+            didicosm().s(SignVector(8, 0b110))
+        assert didicosm().s(SignVector(3, 0b110)) == didicosm().s(0b110)
+
+    def test_representation_spec(self):
+        with pytest.raises(DimensionMismatch):
+            RepresentationSpec(3, [SignVector(8, 0b110)])
+        assert RepresentationSpec(3, [0b110]).flip_masks == (0b110,)
+
+    def test_reduce_subgroup(self):
+        with pytest.raises(DimensionMismatch):
+            reduce(didicosm(), [SignVector(8, 0), SignVector(8, 0b110)], 2)
+        assert format_group(reduce(didicosm(), [0, 0b110], 2)) == (
+            "dim=2; gens=+-:H0")
 
 
 class TestRepresentationSpec:

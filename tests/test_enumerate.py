@@ -37,11 +37,11 @@ from ghw.enumerate import (
     censuses,
     enumerate_census,
     hyperplane_classes,
+    _entry_from_cols,
     _entry_from_json,
     _entry_from_text,
     _entry_json,
     _key_bytes,
-    _support_entries,
 )
 from ghw.constructions import gamma_group, klein_group
 from ghw.homology import betti_vector
@@ -557,7 +557,8 @@ DIM7_CELL_SHA256 = {
 
 @pytest.mark.parametrize("k", sorted(DIM7_CELL_SHA256))
 def test_dimension_7_cell_round_trip(k):
-    c = Census(7, _support_entries(7, k, None))
+    c = Census(7, [_entry_from_cols(7, k, cols, stab)
+                   for cols, stab in census_leaves(7, k)])
     text = census_to_jsonl(c)
     assert hashlib.sha256(text.encode()).hexdigest() == DIM7_CELL_SHA256[k]
     back = census_from_jsonl(text)
@@ -591,11 +592,18 @@ class TestGuards:
             enumerate_census(7, long_mode=True, budget=0.2)
 
 
-def test_workers_deterministic():
-    solo = enumerate_census(5, workers=1)
-    multi = enumerate_census(5, workers=2)
-    assert [e.key for e in solo.entries] == [e.key for e in multi.entries]
-    assert solo.entries == multi.entries
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_progress_reports_each_support_size_in_order(n):
+    messages = []
+    census = enumerate_census(n, long_mode=n >= 6, progress=messages.append)
+    sizes = list(range(1, n + 1, 2))
+    assert len(messages) == len(sizes)
+    counts = []
+    for k, message in zip(sizes, messages):
+        head, _, tail = message.partition(f"dim {n} support size {k}: ")
+        assert head == "" and tail.endswith(" classes"), message
+        counts.append(int(tail.removesuffix(" classes")))
+    assert sum(counts) == len(census)
 
 
 class TestCensuses:
@@ -604,7 +612,7 @@ class TestCensuses:
         assert sorted(found) == [2, 3, 4, 5]
         assert all(c is cached_census(n) for n, c in found.items())
 
-    @pytest.mark.parametrize("limits", [{"workers": 0}, {"budget": 0},
+    @pytest.mark.parametrize("limits", [{"budget": -1.0}, {"budget": 0},
                                         {"budget": float("nan")}])
     def test_limits_checked_before_any_dimension(self, monkeypatch, limits):
         import ghw.enumerate as enum_mod
@@ -626,10 +634,6 @@ class TestCensuses:
         monkeypatch.setattr(enum_mod, "enumerate_census", boom)
         with pytest.raises(DimensionTooLarge):
             censuses(MAX_DIM + 1, long_mode=True)
-
-    def test_workers_checked_by_enumerate_census(self):
-        with pytest.raises(ValueError):
-            enumerate_census(3, workers=0)
 
     def test_one_budget_for_every_dimension(self, monkeypatch):
         # The call's one deadline is set when it starts (tick 0) and read

@@ -1,9 +1,12 @@
-"""Every name a module under src/ghw imports is used in that module.
+"""Every name a module under src/ghw imports is used in that module, and
+no module imports a way to start processes or threads.
 
 No linter runs here, so this reads each module's syntax tree: a name bound
 by an import counts as used when it is read anywhere in the module, inside
 a quoted annotation too, or listed in its __all__. __init__.py is skipped,
 since its imports are re-exports, and so is `from __future__ import`.
+The census runs in one process: its work sits in one support-size cell,
+so spreading cells over processes does not pay for sending entries back.
 """
 
 import ast
@@ -65,3 +68,38 @@ def test_check_sees_an_unused_import():
                      "def f(x: 'Path') -> None:\n    return loads(x)\n")
     assert [name for name, _ in _imported(tree)
             if name not in _used(tree)] == ["os", "dumps"]
+
+
+# Modules that start processes or threads, and their submodules.
+CONCURRENCY = ("concurrent", "multiprocessing", "threading")
+
+
+def _concurrency_imports(tree):
+    """(module, line) of each import of a CONCURRENCY module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.partition(".")[0] in CONCURRENCY:
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_starts_no_processes_or_threads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{name} (line {line})" for name, line in _concurrency_imports(tree)]
+    assert not found, f"{path.name} imports {', '.join(found)}"
+
+
+def test_check_sees_a_concurrency_import():
+    tree = ast.parse("import os\nimport multiprocessing.pool as mp\n"
+                     "def f():\n    from concurrent.futures import "
+                     "ProcessPoolExecutor\n    import threading\n"
+                     "from . import threads\n")
+    assert list(_concurrency_imports(tree)) == [
+        ("multiprocessing.pool", 2), ("concurrent.futures", 4),
+        ("threading", 5)]

@@ -21,8 +21,8 @@ DIDICOSM = "dim=3; gens=+--:HH0,-+-:0HH"
 
 def test_import_loads_no_pool_and_no_dataclasses():
     """A fresh `import ghw, ghw.cli` loads only what a run executes: the
-    process pool comes with --workers above 1, and no record needs
-    dataclasses or inspect."""
+    census runs in one process, so nothing loads a process pool, and no
+    record needs dataclasses or inspect."""
     heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
     src = os.path.dirname(os.path.dirname(ghw.__file__))
     env = dict(os.environ, PYTHONPATH=src)
